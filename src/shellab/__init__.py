@@ -13,6 +13,9 @@ from .errors import (
     BudgetExceededError,
     CycleDetectedError,
     EmptyIntervalError,
+    EulerMismatchError,
+    InvalidIntervalError,
+    InvalidPosetError,
     InvalidRootError,
     MalformedCertificateError,
     MissingFirstAtomError,
@@ -38,6 +41,7 @@ from .poset import (
     to_dot,
 )
 from .chains import (
+    RootTrie,
     interval_chains,
     maximal_chains,
     maximal_chains_rooted,
@@ -45,6 +49,7 @@ from .chains import (
     rooted_cover_relations,
     rooted_interval_count,
     rooted_intervals,
+    root_trie,
     roots,
 )
 from .labeling import (

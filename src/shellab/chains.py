@@ -4,11 +4,16 @@ Chains are tuples of element identifiers read bottom-to-top.  A root of an
 element x is a maximal chain of [bottom, x]; it contains both the bottom
 element and x.  All enumerations are deterministic: they follow the canonical
 element order of the poset.
+
+Every root is stored once, as a node of the poset's RootTrie; the tuple form
+of a root is built only where a public function returns it.
 """
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, InvalidRootError
+from bisect import bisect_left
+
+from .errors import BudgetExceededError, InvalidIntervalError, InvalidRootError
 from .poset import Poset
 
 DEFAULT_ROOTED_COVER_BUDGET = 10_000
@@ -16,21 +21,139 @@ DEFAULT_ROOTED_COVER_BUDGET = 10_000
 Chain = tuple
 
 
+class RootTrie:
+    """Every root of a poset, interned once as a node of a prefix tree.
+
+    Node 0 is the root (bottom,); the children of a node are the covers of
+    its element, in canonical order.  Every other node v is one rooted cover
+    (root of parent[v], elem[parent[v]], elem[v]), so the trie has exactly
+    1 + rooted_cover_count(poset) nodes.  Nodes are numbered in preorder,
+    hence node order is the lexicographic order of the roots and the subtree
+    of v is the id range [v, end[v]).  depth[v] is the number of covers on
+    the root of v.
+    """
+
+    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_chains")
+
+    def __init__(self, poset: Poset):
+        # preorder DFS: children are pushed reversed so they pop in order
+        rev_up = {e: ws[::-1] for e, ws in poset.up.items()}
+        elem, parent = [], []
+        stack, parents = [poset.bottom], [-1]
+        while stack:
+            e = stack.pop()
+            v = len(elem)
+            elem.append(e)
+            parent.append(parents.pop())
+            stack.extend(rev_up[e])
+            parents.extend([v] * len(rev_up[e]))
+        n = len(elem)
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        size = [1] * n
+        for v in range(n - 1, 0, -1):
+            size[parent[v]] += size[v]
+        self.elem = elem
+        self.parent = parent
+        self.depth = depth
+        self.end = [v + s for v, s in enumerate(size)]
+        self.nodes_of = {e: [] for e in poset.elements}
+        for v, e in enumerate(elem):
+            self.nodes_of[e].append(v)
+        self._chains = None
+
+    def __len__(self):
+        return len(self.elem)
+
+    def children(self, v):
+        """Child nodes of v, in canonical order of their elements."""
+        end = self.end
+        c, stop = v + 1, end[v]
+        while c < stop:
+            yield c
+            c = end[c]
+
+    def within(self, g, y) -> list:
+        """Nodes with element y in the subtree of g: the maximal chains of
+        [elem[g], y] rooted at g, in lexicographic order."""
+        ids = self.nodes_of[y]
+        return ids[bisect_left(ids, g):bisect_left(ids, self.end[g])]
+
+    def chain(self, v) -> tuple:
+        """The root of node v as a tuple of elements."""
+        if self._chains is None:
+            elem, parent = self.elem, self.parent
+            chains = [(elem[0],)]
+            for w in range(1, len(elem)):
+                chains.append(chains[parent[w]] + (elem[w],))
+            self._chains = chains
+        return self._chains[v]
+
+    def child(self, v, e):
+        """The child of v with element e, or None."""
+        return next((c for c in self.children(v) if self.elem[c] == e), None)
+
+    def atom(self, g, d):
+        """Element of the child of g whose subtree holds node d > g."""
+        return self.elem[next(c for c in self.children(g) if d < self.end[c])]
+
+    def find(self, root):
+        """Node of a root given as a sequence of elements, or None."""
+        root = tuple(root)
+        if not root or root[0] != self.elem[0]:
+            return None
+        v = 0
+        for e in root[1:]:
+            v = self.child(v, e)
+            if v is None:
+                return None
+        return v
+
+
+def root_trie(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET) -> RootTrie:
+    """The poset's RootTrie, built once and cached on the poset.
+
+    Raises BudgetExceededError when the poset has more rooted covers (trie
+    nodes, less one) than the budget; None means no limit.
+    """
+    if budget is not None:
+        ensure_budget(poset, budget)
+    if poset._root_trie is None:
+        poset._root_trie = RootTrie(poset)
+    return poset._root_trie
+
+
 def maximal_chains(poset: Poset) -> tuple:
-    """All maximal bottom-to-top chains, in lexicographic index order."""
-    return interval_chains(poset, poset.bottom, poset.top)
+    """All maximal bottom-to-top chains, in lexicographic index order.
+
+    These are the roots of the top element.  Every root is a prefix of a
+    maximal chain, so enumerating the chains costs as much as building the
+    trie, and this is done without a budget.
+    """
+    trie = root_trie(poset, None)
+    return tuple(trie.chain(v) for v in trie.nodes_of[poset.top])
+
+
+def check_interval(poset: Poset, x, y):
+    """Raise InvalidIntervalError unless x and y are elements with x <= y."""
+    for e in (x, y):
+        if e not in poset.index:
+            raise InvalidIntervalError(f"{e!r} is not an element of the poset")
+    if not poset.leq(x, y):
+        raise InvalidIntervalError(f"{x!r} is not below {y!r}")
 
 
 def interval_chains(poset: Poset, x, y) -> tuple:
     """All maximal chains of the closed interval [x, y], deterministically.
 
-    Returns the one-element chain (x,) when x == y.
+    Returns the one-element chain (x,) when x == y.  Raises
+    InvalidIntervalError when x or y is not an element or x is not below y.
     """
     cached = poset._chain_cache.get((x, y))
     if cached is not None:
         return cached
-    if not poset.leq(x, y):
-        raise ValueError(f"{x!r} is not below {y!r}")
+    check_interval(poset, x, y)
     down_y = poset.downset(y)
     out = []
     stack = [(x,)]
@@ -50,16 +173,20 @@ def interval_chains(poset: Poset, x, y) -> tuple:
 
 
 def roots(poset: Poset, x) -> tuple:
-    """All roots of x: maximal chains of [bottom, x]."""
-    cached = poset._root_cache.get(x)
-    if cached is None:
-        cached = interval_chains(poset, poset.bottom, x)
-        poset._root_cache[x] = cached
-    return cached
+    """All roots of x: maximal chains of [bottom, x], lexicographically.
+
+    The roots are read from the poset's RootTrie, which is built without a
+    budget; callers that must bound the work check ensure_budget first.
+    """
+    trie = root_trie(poset, None)
+    return tuple(trie.chain(v) for v in trie.nodes_of[x])
 
 
 def is_root(poset: Poset, r, x) -> bool:
-    return tuple(r) in roots(poset, x)
+    """True iff r is a saturated chain from the bottom element up to x."""
+    r = tuple(r)
+    return (bool(r) and r[0] == poset.bottom and r[-1] == x
+            and all(b in poset.up.get(a, ()) for a, b in zip(r, r[1:])))
 
 
 def maximal_chains_rooted(poset: Poset, r, x, y) -> tuple:
@@ -105,26 +232,37 @@ def ensure_budget(poset: Poset, budget: int = DEFAULT_ROOTED_COVER_BUDGET):
         )
 
 
+def strictly_above(poset: Poset, x) -> list:
+    """Elements y > x in canonical order."""
+    key = poset.index.__getitem__
+    return sorted((y for y in poset.upset(x) if y != x), key=key)
+
+
+def rooted_interval_nodes(poset: Poset, trie: RootTrie):
+    """Iterate (g, x, y) per rooted interval with x < y, in canonical order:
+    node g of the trie is the root of x."""
+    for x in poset.elements:
+        above = strictly_above(poset, x)
+        for g in trie.nodes_of[x]:
+            for y in above:
+                yield g, x, y
+
+
 def rooted_intervals(poset: Poset, budget: int = DEFAULT_ROOTED_COVER_BUDGET):
     """Iterate every rooted interval (r, x, y) with x < y exactly once."""
-    ensure_budget(poset, budget)
-    key = poset.index.__getitem__
-    for x in poset.elements:
-        above = sorted((y for y in poset.upset(x) if y != x), key=key)
-        if not above:
-            continue
-        for r in roots(poset, x):
-            for y in above:
-                yield r, x, y
+    trie = root_trie(poset, budget)
+    for g, x, y in rooted_interval_nodes(poset, trie):
+        yield trie.chain(g), x, y
 
 
 def rooted_cover_relations(poset: Poset, budget: int = DEFAULT_ROOTED_COVER_BUDGET):
     """Iterate every rooted cover relation (r, x, y) with x covered by y."""
-    ensure_budget(poset, budget)
+    trie = root_trie(poset, budget)
     for x in poset.elements:
         ups = poset.up[x]
         if not ups:
             continue
-        for r in roots(poset, x):
+        for g in trie.nodes_of[x]:
+            r = trie.chain(g)
             for y in ups:
                 yield r, x, y

@@ -5,6 +5,10 @@ class ShellabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidPosetError(ShellabError, ValueError):
+    """Poset input is malformed: bad JSON shape, unknown or repeated identifiers."""
+
+
 class CycleDetectedError(ShellabError):
     """The supplied cover relation contains a directed cycle."""
 
@@ -19,6 +23,10 @@ class RedundantCoverError(ShellabError):
 
 class InvalidRootError(ShellabError):
     """A chain offered as a root is not a maximal chain of the bottom interval."""
+
+
+class InvalidIntervalError(ShellabError, ValueError):
+    """An interval endpoint is not an element, or the lower one is not below the upper."""
 
 
 class MissingLabelError(ShellabError):
@@ -63,6 +71,10 @@ class EmptyIntervalError(ShellabError):
 
 class NotAShellingError(ShellabError):
     """The facet order violates the shelling condition."""
+
+
+class EulerMismatchError(ShellabError):
+    """A wedge decomposition disagrees with the complex's Euler characteristic."""
 
 
 class MalformedCertificateError(ShellabError):

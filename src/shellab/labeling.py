@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
     ensure_budget,
     interval_chains,
-    maximal_chains,
+    root_trie,
     rooted_cover_relations,
-    rooted_intervals,
-    roots,
+    rooted_interval_nodes,
+    strictly_above,
 )
-from .errors import AmbiguousOrderError, MissingLabelError
+from .errors import (
+    AmbiguousOrderError,
+    InvalidIntervalError,
+    InvalidRootError,
+    MissingLabelError,
+)
 from .poset import Poset
 
 KINDS = ("el", "cl", "ec", "cc", "tcl", "self-consistent")
@@ -119,57 +125,119 @@ def lex_compare(s, t) -> int:
 
 
 class _Verifier:
-    """Shared memoized machinery for ascent tests over one labeling."""
+    """One labeling resolved to tables indexed by the nodes of the RootTrie.
 
-    def __init__(self, lab: CELabeling, poset: Poset):
+    lab_in[v] is the label of the cover into node v under the root of its
+    parent, and path[v] the label sequence of the root of v.  The chains of
+    one rooted interval all extend the same root, so their full paths compare
+    (and are prefixes of one another) exactly as their own label sequences
+    path[v][depth[g]:] are.
+
+    asc[k] tells whether the cover pair ending at node k is a topological
+    ascent under the root two steps up.  last_descent[v] (last_nonincrease[v])
+    is the depth where the last topological descent (last non-increasing
+    label pair) on the root of v starts, or -1: a chain from node g up to
+    node v is topologically ascending iff last_descent[v] < depth[g], and
+    strictly increasing iff last_nonincrease[v] < depth[g].
+
+    The tuple-argument methods take a root ending at the chain's first
+    element, as the module's public functions do.
+    """
+
+    def __init__(self, lab: CELabeling, poset: Poset,
+                 budget: int | None = DEFAULT_ROOTED_COVER_BUDGET):
         self.lab = lab
         self.poset = poset
-        self._ascents = {}
-        self._seqs = {}
+        self.trie = trie = root_trie(poset, budget)
+        elem, parent = trie.elem, trie.parent
+        rooted = lab._chains is not None
+        lab_in, path = [None], [()]
+        for v in range(1, len(trie)):
+            p = parent[v]
+            lbl = lab.label(trie.chain(p) if rooted else None, elem[p], elem[v])
+            lab_in.append(lbl)
+            path.append(path[p] + (lbl,))
+        self.lab_in = lab_in
+        self.path = path
+
+    @cached_property
+    def asc(self) -> list:
+        trie, lab_in, path = self.trie, self.lab_in, self.path
+        parent, depth, elem = trie.parent, trie.depth, trie.elem
+        asc = [True] * len(trie)
+        for k in range(len(trie)):
+            if depth[k] < 2:
+                continue
+            h = parent[k]
+            g = parent[h]
+            others = trie.within(g, elem[k])
+            if len(others) > 1:
+                pair, dg = (lab_in[h], lab_in[k]), depth[g]
+                # a 3-label prefix decides the comparison with a label pair
+                asc[k] = all(pair < path[d][dg:dg + 3] for d in others if d != k)
+        return asc
+
+    @cached_property
+    def last_descent(self) -> list:
+        return self._last_break(self.asc)
+
+    @cached_property
+    def last_nonincrease(self) -> list:
+        lab_in, parent = self.lab_in, self.trie.parent
+        return self._last_break(
+            [d < 2 or lab_in[parent[v]] < lab_in[v] for v, d in enumerate(self.trie.depth)])
+
+    def _last_break(self, ok) -> list:
+        parent, depth = self.trie.parent, self.trie.depth
+        out = [-1] * len(ok)
+        for v in range(1, len(ok)):
+            out[v] = out[parent[v]] if ok[v] else depth[v] - 2
+        return out
+
+    def intervals(self):
+        """(g, x, y, ds) per rooted interval, in canonical order: node g is
+        the root of x and ds the end nodes of the chains of [x, y] under it."""
+        trie = self.trie
+        for g, x, y in rooted_interval_nodes(self.poset, trie):
+            yield g, x, y, trie.within(g, y)
+
+    def chains(self, g, ds) -> tuple:
+        """The chains from node g up to each node of ds, as tuples."""
+        dg = self.trie.depth[g]
+        return tuple(self.trie.chain(d)[dg:] for d in ds)
+
+    def node(self, root, chain) -> tuple:
+        """Nodes (g, v) of a root of chain[0] and of it extended by chain[1:]."""
+        trie = self.trie
+        g = trie.find(root)
+        if g is None or trie.elem[g] != chain[0]:
+            raise InvalidRootError(f"{root!r} is not a root of {chain[0]!r}")
+        v = g
+        for e in chain[1:]:
+            v = trie.child(v, e)
+            if v is None:
+                raise InvalidIntervalError(f"{chain!r} is not a saturated chain")
+        return g, v
 
     def seq(self, root, chain):
-        key = (root, chain)
-        got = self._seqs.get(key)
-        if got is None:
-            got = self._seqs[key] = label_sequence(self.lab, root, chain)
-        return got
-
-    def is_ascent(self, root, u, v, w) -> bool:
-        """Topological ascent test for the rooted cover pair u < v < w."""
-        key = (root, u, v, w)
-        got = self._ascents.get(key)
-        if got is None:
-            pair = (
-                self.lab.label(root, u, v),
-                self.lab.label(root + (v,), v, w),
-            )
-            got = True
-            for c in interval_chains(self.poset, u, w):
-                if c == (u, v, w):
-                    continue
-                if not pair < self.seq(root, c):
-                    got = False
-                    break
-            self._ascents[key] = got
-        return got
+        g, v = self.node(root, chain)
+        return self.path[v][self.trie.depth[g]:]
 
     def chain_is_ascending(self, root, chain) -> bool:
-        r = root
-        for i in range(len(chain) - 2):
-            if not self.is_ascent(r, chain[i], chain[i + 1], chain[i + 2]):
-                return False
-            r = r + (chain[i + 1],)
-        return True
-
-    def ascending_chains(self, root, x, y):
-        return [c for c in interval_chains(self.poset, x, y)
-                if self.chain_is_ascending(root, c)]
+        g, v = self.node(root, chain)
+        return self.last_descent[v] < self.trie.depth[g]
 
 
 def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:
     """True iff the label pair of u < v < w strictly dictionary-precedes the
-    label sequence of every other maximal chain of [u, w]_r."""
-    return _Verifier(lab, lab.poset).is_ascent(tuple(r), u, v, w)
+    label sequence of every other maximal chain of [u, w]_r.
+
+    Only the chains of [u, w] are labeled, so no budget applies.
+    """
+    r = tuple(r)
+    pair = (lab.label(r, u, v), lab.label(r + (v,), v, w))
+    return all(pair < label_sequence(lab, r, c)
+               for c in interval_chains(lab.poset, u, w) if c != (u, v, w))
 
 
 @dataclass
@@ -193,13 +261,9 @@ class LabelingReport:
         return getattr(self, "is_" + kind.replace("-", "_"))
 
 
-def _is_strictly_increasing(seq):
-    return all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))
-
-
 def classify(lab: CELabeling, poset: Poset, kinds=None,
              budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> LabelingReport:
-    """Evaluate the requested labeling kinds by direct quantification.
+    """Evaluate the requested labeling kinds on every rooted interval.
 
     kinds is an iterable drawn from {"el", "cl", "ec", "cc", "tcl",
     "self-consistent"}; by default all six are checked.  EL and EC
@@ -211,56 +275,54 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     unknown = kinds - set(KINDS)
     if unknown:
         raise ValueError(f"unknown labeling kinds: {sorted(unknown)}")
-    ensure_budget(poset, budget)
 
-    ver = _Verifier(lab, poset)
+    ver = _Verifier(lab, poset, budget)
+    trie, path, depth = ver.trie, ver.path, ver.trie.depth
     report = LabelingReport()
     need_tcl = bool(kinds & {"tcl", "cc", "ec", "self-consistent"})
     need_cc = bool(kinds & {"cc", "ec"})
     need_cl = bool(kinds & {"cl", "el"})
+    descent = ver.last_descent if need_tcl else None
+    nonincrease = ver.last_nonincrease if need_cl else None
 
-    tcl_ok, cc_ok, cl_ok = True, True, True
-    for r, x, y in rooted_intervals(poset, budget):
+    # a kind that is not needed starts failed, so the loop skips it and
+    # stops once every needed kind has failed; its flag is never read
+    tcl_ok, cc_ok, cl_ok = need_tcl, need_cc, need_cl
+    for g, x, y, ds in ver.intervals():
         if not (tcl_ok or cc_ok or cl_ok):
             break
-        chains = interval_chains(poset, x, y)
-        seqs = [ver.seq(r, c) for c in chains]
+        dg = depth[g]
 
-        if need_tcl and tcl_ok:
-            ascending = [c for c in chains if ver.chain_is_ascending(r, c)]
+        if tcl_ok:
+            ascending = [d for d in ds if descent[d] < dg]
             if len(ascending) != 1:
                 tcl_ok = False
-                report.witnesses.setdefault("tcl", {
-                    "root": r, "x": x, "y": y,
-                    "ascending_chains": tuple(ascending),
-                })
+                report.witnesses["tcl"] = {
+                    "root": trie.chain(g), "x": x, "y": y,
+                    "ascending_chains": ver.chains(g, ascending),
+                }
 
-        if need_cc and cc_ok:
-            ordered = sorted(seqs)
-            distinct = len(set(seqs)) == len(seqs)
-            prefix_free = not any(
-                ordered[i] == ordered[i + 1][: len(ordered[i])]
-                for i in range(len(ordered) - 1)
-            )
-            if not (distinct and prefix_free):
+        if cc_ok and len(ds) > 1:
+            # sorted, a sequence that is a prefix of (or equal to) another
+            # is a prefix of its successor
+            ordered = sorted(path[d] for d in ds)
+            if any(s == t[:len(s)] for s, t in zip(ordered, ordered[1:])):
                 cc_ok = False
-                report.witnesses.setdefault("cc", {
-                    "root": r, "x": x, "y": y,
-                    "label_sequences": tuple(sorted(zip(seqs, chains))),
-                })
+                report.witnesses["cc"] = {
+                    "root": trie.chain(g), "x": x, "y": y,
+                    "label_sequences": tuple(sorted(zip(
+                        (path[d][dg:] for d in ds), ver.chains(g, ds)))),
+                }
 
-        if need_cl and cl_ok:
-            increasing = [c for c, s in zip(chains, seqs) if _is_strictly_increasing(s)]
-            good = False
-            if len(increasing) == 1:
-                s0 = ver.seq(r, increasing[0])
-                good = all(s == s0 or s0 < s for s in seqs)
-            if not good:
+        if cl_ok:
+            increasing = [d for d in ds if nonincrease[d] < dg]
+            if not (len(increasing) == 1 and (
+                    len(ds) == 1 or path[increasing[0]] == min(path[d] for d in ds))):
                 cl_ok = False
-                report.witnesses.setdefault("cl", {
-                    "root": r, "x": x, "y": y,
-                    "increasing_chains": tuple(increasing),
-                })
+                report.witnesses["cl"] = {
+                    "root": trie.chain(g), "x": x, "y": y,
+                    "increasing_chains": ver.chains(g, increasing),
+                }
 
     root_indep = lab.is_root_independent()
     if "tcl" in kinds:
@@ -286,7 +348,7 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
             report.witnesses.setdefault("el", report.witnesses.get("cl", {}))
 
     if "self-consistent" in kinds:
-        ok, witness = _self_consistency(ver, poset, tcl_ok if need_tcl else None, budget)
+        ok, witness = _self_consistency(ver, tcl_ok)
         report.is_self_consistent = ok
         if not ok and witness:
             report.witnesses.setdefault("self-consistent", witness)
@@ -294,47 +356,49 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     return report
 
 
-def _self_consistency(ver: _Verifier, poset: Poset, tcl_flag, budget):
+def _self_consistency(ver: _Verifier, tcl_flag):
     """A TCL-labeling is self-consistent when atoms of lexicographically
     first chains stay ahead of their sibling atoms in every other interval
     over the same root."""
-    if tcl_flag is None:
-        tcl_flag = classify(ver.lab, poset, kinds={"tcl"}, budget=budget).is_tcl
     if not tcl_flag:
         return False, {"not_tcl": True}
-    key = poset.index.__getitem__
+    poset, trie, path, elem = ver.poset, ver.trie, ver.path, ver.trie.elem
     for x in poset.elements:
-        above = sorted((y for y in poset.upset(x) if y != x), key=key)
-        if len(above) < 1:
-            continue
-        for r in roots(poset, x):
-            # per top y': lex bounds of the chains through each atom
-            bounds = {}
-            for yp in above:
-                per_atom = {}
-                for c in interval_chains(poset, x, yp):
-                    s = ver.seq(r, c)
-                    a = c[1]
-                    lo, hi = per_atom.get(a, (s, s))
-                    per_atom[a] = (min(lo, s), max(hi, s))
-                bounds[yp] = per_atom
+        above = strictly_above(poset, x)
+        for g in trie.nodes_of[x]:
+            # per top y': lex bounds of the chains through each atom, from
+            # one scan of the subtree of each atom's node
+            bounds = {yp: {} for yp in above}
+            for c in trie.children(g):
+                seqs = {}
+                for d in range(c, trie.end[c]):
+                    seqs.setdefault(elem[d], []).append(path[d])
+                for yp, ss in seqs.items():
+                    bounds[yp][elem[c]] = (min(ss), max(ss))
+            # first y' where the chains through a do not all precede those
+            # through b, per atom pair (a, b)
+            late = {}
             for y in above:
                 per_atom = bounds[y]
                 if len(per_atom) < 2:
                     continue
                 best = min(lo for lo, _ in per_atom.values())
-                first_atoms = [a for a, (lo, _) in per_atom.items() if lo == best]
-                for a in first_atoms:
+                for a, (lo, _) in per_atom.items():
+                    if lo != best:
+                        continue
                     for b in per_atom:
                         if b == a:
                             continue
-                        for yp in above:
-                            pa = bounds[yp]
-                            if a in pa and b in pa and not pa[a][1] < pa[b][0]:
-                                return False, {
-                                    "root": r, "x": x, "y": y, "y2": yp,
-                                    "atom_first": a, "atom_other": b,
-                                }
+                        if (a, b) not in late:
+                            late[(a, b)] = next((
+                                yp for yp in above
+                                if a in bounds[yp] and b in bounds[yp]
+                                and not bounds[yp][a][1] < bounds[yp][b][0]), None)
+                        if late[(a, b)] is not None:
+                            return False, {
+                                "root": trie.chain(g), "x": x, "y": y, "y2": late[(a, b)],
+                                "atom_first": a, "atom_other": b,
+                            }
     return True, None
 
 
@@ -342,15 +406,15 @@ def descent_set(lab: CELabeling, poset: Poset,
                 budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> frozenset:
     """All rooted adjacent cover pairs (r, u, v, w) that are topological
     descents; the complement over the same domain are the ascents."""
-    ensure_budget(poset, budget)
-    ver = _Verifier(lab, poset)
+    ver = _Verifier(lab, poset, budget)
+    trie = ver.trie
+    elem, parent = trie.elem, trie.parent
     out = set()
-    for u in poset.elements:
-        for r in roots(poset, u):
-            for v in poset.up[u]:
-                for w in poset.up[v]:
-                    if not ver.is_ascent(r, u, v, w):
-                        out.add((r, u, v, w))
+    for k, ok in enumerate(ver.asc):
+        if not ok:
+            h = parent[k]
+            g = parent[h]
+            out.add((trie.chain(g), elem[g], elem[h], elem[k]))
     return frozenset(out)
 
 
@@ -361,17 +425,18 @@ def lex_order_max_chains(lab: CELabeling, poset: Poset, tie_break: bool = False)
     sequence, unless tie_break is set, in which case canonical chain order
     breaks ties.
     """
-    chains = maximal_chains(poset)
-    root = (poset.bottom,)
-    keyed = [(label_sequence(lab, root, c), i, c) for i, c in enumerate(chains)]
-    keyed.sort(key=lambda t: (t[0], t[1]))
+    # labeling every maximal chain visits every root, so no budget applies
+    ver = _Verifier(lab, poset, None)
+    trie, path = ver.trie, ver.path
+    leaves = sorted(trie.nodes_of[poset.top], key=lambda d: (path[d], d))
     if not tie_break:
-        for (s1, _, c1), (s2, _, c2) in zip(keyed, keyed[1:]):
-            if s1 == s2:
+        for d1, d2 in zip(leaves, leaves[1:]):
+            if path[d1] == path[d2]:
                 raise AmbiguousOrderError(
-                    f"chains {c1!r} and {c2!r} share label sequence {s1!r}"
+                    f"chains {trie.chain(d1)!r} and {trie.chain(d2)!r} "
+                    f"share label sequence {path[d1]!r}"
                 )
-    return tuple(c for _, _, c in keyed)
+    return tuple(trie.chain(d) for d in leaves)
 
 
 # -- serialization -----------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 
-from .errors import CycleDetectedError, NotBoundedError, RedundantCoverError
+from .errors import CycleDetectedError, InvalidPosetError, NotBoundedError, RedundantCoverError
 
 Element = str
 Cover = tuple  # (a, b) with a covered by b
@@ -27,7 +27,7 @@ class Poset:
     __slots__ = (
         "elements", "covers", "index", "up", "down", "bottom", "top",
         "_upset", "_downset", "_path_counts", "_lmin", "_lmax",
-        "_chain_cache", "_root_cache",
+        "_chain_cache", "_root_trie",
     )
 
     def __init__(self, elements, covers, _validated=False):
@@ -53,7 +53,7 @@ class Poset:
         self._lmin = None
         self._lmax = None
         self._chain_cache = {}
-        self._root_cache = {}
+        self._root_trie = None
 
     # -- order queries -------------------------------------------------
 
@@ -168,23 +168,23 @@ def _topological_order(elements, up):
 def build_poset(elements, covers) -> Poset:
     """Validate and build a bounded poset from elements and cover pairs.
 
-    Raises CycleDetectedError, RedundantCoverError or NotBoundedError; a
-    transitive cover is rejected rather than silently reduced so that input
-    files are unambiguous Hasse data.
+    Raises InvalidPosetError, CycleDetectedError, RedundantCoverError or
+    NotBoundedError; a transitive cover is rejected rather than silently
+    reduced so that input files are unambiguous Hasse data.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
-        raise ValueError("element identifiers must be distinct")
+        raise InvalidPosetError("element identifiers must be distinct")
     known = set(elements)
     seen = set()
     covers = [tuple(c) for c in covers]
     for a, b in covers:
         if a not in known or b not in known:
-            raise ValueError(f"cover ({a!r}, {b!r}) references unknown element")
+            raise InvalidPosetError(f"cover ({a!r}, {b!r}) references unknown element")
         if a == b:
             raise CycleDetectedError(f"self-loop on {a!r}")
         if (a, b) in seen:
-            raise ValueError(f"duplicate cover ({a!r}, {b!r})")
+            raise InvalidPosetError(f"duplicate cover ({a!r}, {b!r})")
         seen.add((a, b))
 
     up = {e: [] for e in elements}
@@ -311,12 +311,28 @@ def poset_to_json(poset: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
-    return build_poset(data["elements"], [tuple(c) for c in data["covers"]])
+    """Build a poset from ``{"elements": [id, ...], "covers": [[a, b], ...]}``
+    with string identifiers (lists or tuples); raises InvalidPosetError on
+    any other shape."""
+    if not isinstance(data, dict) or not {"elements", "covers"} <= data.keys():
+        raise InvalidPosetError('a poset needs an object with "elements" and "covers"')
+    elements, covers = data["elements"], data["covers"]
+    if not isinstance(elements, (list, tuple)) or not all(isinstance(e, str) for e in elements):
+        raise InvalidPosetError('"elements" must be a list of strings')
+    if not isinstance(covers, (list, tuple)) or not all(
+            isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(e, str) for e in c)
+            for c in covers):
+        raise InvalidPosetError('"covers" must be a list of [lower, upper] string pairs')
+    return build_poset(elements, [tuple(c) for c in covers])
 
 
 def load_poset(path) -> Poset:
     with open(path) as fh:
-        return poset_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidPosetError(f"{path}: not JSON ({exc})") from None
+    return poset_from_json(data)
 
 
 def to_dot(poset: Poset) -> str:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
     ensure_budget,
-    interval_chains,
     maximal_chains,
     rooted_intervals,
     roots,
@@ -30,7 +29,7 @@ from .errors import (
     NotAnRfasError,
     NotTclError,
 )
-from .labeling import CELabeling, _Verifier, classify, label_sequence, lex_order_max_chains
+from .labeling import CELabeling, _Verifier, classify, lex_order_max_chains
 from .poset import Poset, build_poset
 from .relabel import relabel_from_order
 
@@ -267,9 +266,10 @@ def _topo_indices(n, succ):
             indeg[j] -= 1
             if indeg[j] == 0:
                 ready.append(j)
-    if len(order) != n:  # cycle: fall back to an arbitrary completion
-        rest = [i for i in range(n) if i not in set(order)]
-        order.extend(rest)
+    if len(order) != n:
+        # the chain order of a valid RFAS is acyclic
+        raise NotAnRfasError(
+            f"chain order has a cycle through {n - len(order)} of {n} chains")
     return order
 
 
@@ -422,13 +422,12 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
                   budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> bool:
     """True iff in every rooted interval the designated first atom lies on a
     maximal chain attaining the dictionary-least label sequence."""
-    ver = _Verifier(lab, poset)
-    for r, x, y in rooted_intervals(poset, budget):
-        chains = interval_chains(poset, x, y)
-        seqs = [ver.seq(r, c) for c in chains]
-        best = min(seqs)
-        first = omega.first_atom(r, x, y)
-        if not any(c[1] == first and s == best for c, s in zip(chains, seqs)):
+    ver = _Verifier(lab, poset, budget)
+    trie, path = ver.trie, ver.path
+    for g, x, y, ds in ver.intervals():
+        best = min(path[d] for d in ds)
+        c = trie.child(g, omega.first_atom(trie.chain(g), x, y))
+        if c is None or not any(path[d] == best for d in trie.within(c, y)):
             return False
     return True
 
@@ -461,10 +460,12 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
         raise NotTclError("labeling is not a TCL-labeling")
     gamma = lex_order_max_chains(lab, poset, tie_break=True)
     relabeled = relabel_from_order(poset, gamma, budget)
-    ver = _Verifier(relabeled, poset)
+    ver = _Verifier(relabeled, poset, budget)
+    trie, descent = ver.trie, ver.last_descent
     table = {}
-    for r, x, y in rooted_intervals(poset, budget):
-        ascending = ver.ascending_chains(r, x, y)
+    for g, x, y, ds in ver.intervals():
+        r = trie.chain(g)
+        ascending = [d for d in ds if descent[d] < trie.depth[g]]
         if len(ascending) != 1:
             # happens only when the source labeling has tied label sequences
             # whose removal by the rebuild breaks unique ascendance
@@ -473,7 +474,7 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
                 f"({r!r}, {x!r}, {y!r}); the source labeling's chain order "
                 "has ties that the rebuild cannot preserve"
             )
-        table[(r, x, y)] = ascending[0][1]
+        table[(r, x, y)] = trie.atom(g, ascending[0])
     return FirstAtomSet(poset, table)
 
 

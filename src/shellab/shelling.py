@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chains import interval_chains, maximal_chains, roots
+from .chains import check_interval, interval_chains, maximal_chains
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
     EmptyIntervalError,
+    EulerMismatchError,
     NotAShellingError,
 )
 from .labeling import CELabeling, _Verifier
@@ -200,7 +201,7 @@ def homotopy_report(complex_: OrderComplex, order) -> HomotopyReport:
     chi = complex_.euler_characteristic()
     predicted = 1 + sum((-1) ** d * k for d, k in counts.items())
     if chi != predicted:
-        raise AssertionError(
+        raise EulerMismatchError(
             f"euler characteristic {chi} disagrees with wedge counts {counts}"
         )
     return HomotopyReport(counts, chi)
@@ -266,26 +267,27 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
 
     The root of x is inferred when unique; otherwise it must be supplied.
     """
+    check_interval(poset, x, y)
+    # resolving the labeling visits every root, so no budget applies
+    ver = _Verifier(lab, poset, None)
+    trie, asc = ver.trie, ver.asc
     if root is None:
-        candidates = roots(poset, x)
+        candidates = trie.nodes_of[x]
         if len(candidates) != 1:
             raise AmbiguousRootError(
                 f"{x!r} has {len(candidates)} roots; pass one explicitly"
             )
-        root = candidates[0]
-    root = tuple(root)
-    ver = _Verifier(lab, poset)
+        g = candidates[0]
+    else:
+        g, _ = ver.node(root, (x,))
+    dg = trie.depth[g]
     out = []
-    for c in interval_chains(poset, x, y):
-        r = root
-        descending = True
-        for i in range(len(c) - 2):
-            if ver.is_ascent(r, c[i], c[i + 1], c[i + 2]):
-                descending = False
-                break
-            r = r + (c[i + 1],)
-        if descending:
-            out.append(c)  # a single-cover chain is vacuously all-descent
+    for d in trie.within(g, y):
+        k = d
+        while trie.depth[k] >= dg + 2 and not asc[k]:
+            k = trie.parent[k]
+        if trie.depth[k] < dg + 2:  # a single-cover chain is vacuously all-descent
+            out.append(trie.chain(d)[dg:])
     return out
 
 

@@ -2,15 +2,16 @@
 
 The oracles here deliberately avoid the package's own enumeration code:
 reachability is plain BFS on the cover digraph, chains come from a direct
-path DFS, and shellability of tiny complexes is settled by trying every
-facet permutation.
+path DFS, shellability of tiny complexes is settled by trying every facet
+permutation, and labelings are classified by quantifying over tuple roots
+and label sequences literally.
 """
 
 from itertools import permutations
 
 import pytest
 
-from shellab import build_poset, corpus
+from shellab import LabelingReport, build_poset, corpus, label_sequence
 
 
 # -- independent oracles -------------------------------------------------
@@ -99,6 +100,131 @@ def brute_euler_characteristic(facets):
         for k in range(1, len(fs) + 1):
             faces.update(map(frozenset, combinations(fs, k)))
     return sum((-1) ** (len(face) - 1) for face in faces)
+
+
+def _canonical_paths(poset, x, y):
+    key = poset.index.__getitem__
+    return sorted(brute_paths(poset.covers, x, y), key=lambda c: [key(e) for e in c])
+
+
+def _is_ascent_literal(lab, poset, root, u, v, w):
+    pair = (lab.label(root, u, v), lab.label(root + (v,), v, w))
+    return all(pair < label_sequence(lab, root, c)
+               for c in _canonical_paths(poset, u, w) if c != (u, v, w))
+
+
+def _chain_is_ascending_literal(lab, poset, root, chain):
+    r = root
+    for i in range(len(chain) - 2):
+        if not _is_ascent_literal(lab, poset, r, chain[i], chain[i + 1], chain[i + 2]):
+            return False
+        r = r + (chain[i + 1],)
+    return True
+
+
+def _classify_literal(lab, poset, kinds):
+    """classify() by direct quantification: for every rooted interval
+    (r, x, y) in canonical order, the chains of [x, y] from a path DFS and
+    their label sequences with the root grown one cover at a time."""
+    kinds = set(kinds)
+    key = poset.index.__getitem__
+    report = LabelingReport()
+    need_tcl = bool(kinds & {"tcl", "cc", "ec", "self-consistent"})
+    need_cc = bool(kinds & {"cc", "ec"})
+    need_cl = bool(kinds & {"cl", "el"})
+    tcl_ok, cc_ok, cl_ok = True, True, True
+    per_root = []  # (r, x, above) for the self-consistency pass
+    for x in poset.elements:
+        above = sorted((y for y in bfs_reachable(poset.covers, x) if y != x), key=key)
+        for r in _canonical_paths(poset, poset.bottom, x):
+            per_root.append((r, x, above))
+            for y in above:
+                chains = _canonical_paths(poset, x, y)
+                seqs = [label_sequence(lab, r, c) for c in chains]
+                if need_tcl and tcl_ok:
+                    ascending = [c for c in chains
+                                 if _chain_is_ascending_literal(lab, poset, r, c)]
+                    if len(ascending) != 1:
+                        tcl_ok = False
+                        report.witnesses["tcl"] = {
+                            "root": r, "x": x, "y": y,
+                            "ascending_chains": tuple(ascending)}
+                if need_cc and cc_ok:
+                    prefix = any(s != t and s == t[:len(s)] for s in seqs for t in seqs)
+                    if len(set(seqs)) != len(seqs) or prefix:
+                        cc_ok = False
+                        report.witnesses["cc"] = {
+                            "root": r, "x": x, "y": y,
+                            "label_sequences": tuple(sorted(zip(seqs, chains)))}
+                if need_cl and cl_ok:
+                    increasing = [c for c, s in zip(chains, seqs)
+                                  if all(a < b for a, b in zip(s, s[1:]))]
+                    if not (len(increasing) == 1
+                            and label_sequence(lab, r, increasing[0]) == min(seqs)):
+                        cl_ok = False
+                        report.witnesses["cl"] = {
+                            "root": r, "x": x, "y": y,
+                            "increasing_chains": tuple(increasing)}
+
+    root_indep = all(
+        len({lab.label(r, a, b) for r in _canonical_paths(poset, poset.bottom, a)}) == 1
+        for a, b in poset.covers)
+    w = report.witnesses
+    if "tcl" in kinds:
+        report.is_tcl = tcl_ok
+    if "cc" in kinds:
+        report.is_cc = tcl_ok and cc_ok
+        if not tcl_ok:
+            w.setdefault("cc", w.get("tcl", {}))
+    if "ec" in kinds:
+        report.is_ec = tcl_ok and cc_ok and root_indep
+        if not root_indep:
+            w.setdefault("ec", {"root_independent": False})
+        elif not (tcl_ok and cc_ok):
+            w.setdefault("ec", w.get("cc", w.get("tcl", {})))
+    if "cl" in kinds:
+        report.is_cl = cl_ok
+    if "el" in kinds:
+        report.is_el = cl_ok and root_indep
+        if not root_indep:
+            w.setdefault("el", {"root_independent": False})
+        elif not cl_ok:
+            w.setdefault("el", w.get("cl", {}))
+    if "self-consistent" in kinds:
+        witness = ({"not_tcl": True} if not tcl_ok
+                   else _self_consistency_witness(lab, poset, per_root))
+        report.is_self_consistent = witness is None
+        if witness is not None:
+            w.setdefault("self-consistent", witness)
+    return report
+
+
+def _self_consistency_witness(lab, poset, per_root):
+    """First (r, x, y, y', a, b) where a heads the lex-first chains of
+    [x, y]_r but some chain through a does not precede every chain through
+    its sibling b in [x, y']_r; None when there is none."""
+    for r, x, above in per_root:
+        bounds = {}
+        for yp in above:
+            per_atom = {}
+            for c in _canonical_paths(poset, x, yp):
+                s = label_sequence(lab, r, c)
+                lo, hi = per_atom.get(c[1], (s, s))
+                per_atom[c[1]] = (min(lo, s), max(hi, s))
+            bounds[yp] = per_atom
+        for y in above:
+            per_atom = bounds[y]
+            if len(per_atom) < 2:
+                continue
+            best = min(lo for lo, _ in per_atom.values())
+            for a in [a for a, (lo, _) in per_atom.items() if lo == best]:
+                for b in per_atom:
+                    for yp in above:
+                        pa = bounds[yp]
+                        if b != a and a in pa and b in pa and not pa[a][1] < pa[b][0]:
+                            return {"root": r, "x": x, "y": y, "y2": yp,
+                                    "atom_first": a, "atom_other": b}
+    return None
 
 
 # -- fixtures ------------------------------------------------------------

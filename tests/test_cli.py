@@ -110,6 +110,30 @@ def test_poset_file_input(tmp_path, capsys):
     assert run(["chains", str(path)]) == 0
 
 
+def test_chains_rooted_x_not_below_y_is_an_error(capsys):
+    assert run(["chains", "corpus:fig1", "--rooted", "c", "a"]) == 1
+    assert capsys.readouterr().err.startswith("error: 'c' is not below 'a'")
+
+
+def test_chains_rooted_unknown_element_is_an_error(capsys):
+    assert run(["chains", "corpus:fig1", "--rooted", "zz", "a"]) == 1
+    assert capsys.readouterr().err.startswith("error: 'zz' is not an element")
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"elements": ["0hat", "1hat"]}, '"elements" and "covers"'),
+    ({"elements": ["0hat", "1hat"], "covers": [["0hat", "zz"]]}, "unknown element"),
+    ({"elements": ["0hat", "1hat"], "covers": [["0hat", "1hat"], ["0hat", "1hat"]]},
+     "duplicate cover"),
+], ids=["no-covers", "unknown-element", "duplicate-cover"])
+def test_malformed_poset_file_is_an_error(tmp_path, capsys, data, message):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(data))
+    assert run(["chains", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_export_dot(tmp_path):
     out = tmp_path / "hasse.dot"
     assert run(["export-dot", "corpus:fig1", "--out", str(out)]) == 0

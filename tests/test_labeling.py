@@ -190,3 +190,24 @@ def test_self_consistency_flags(fig1, chain3):
     # left panel: the poset is CL-shellable via this labeling, and the atom
     # of the lex-first chain stays ahead in every interval over the bottom
     assert classify(fig1.labeling("left"), fig1.poset).is_self_consistent
+
+
+def test_single_queries_need_no_rooted_cover_budget():
+    from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, rooted_cover_count, roots
+    from shellab.shelling import descending_chains
+
+    # B_7, edge (S, S + i) labeled i: an EL-labeling with 13,699 rooted covers
+    n = 7
+    name = lambda s: "".join(map(str, sorted(s))) or "e"
+    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(2 ** n)]
+    table = {(name(s), name(s | {i})): i for s in subsets for i in range(n) if i not in s}
+    p = build_poset([name(s) for s in subsets], list(table))
+    assert rooted_cover_count(p) > DEFAULT_ROOTED_COVER_BUDGET
+    lab = CELabeling.from_edges(p, table)
+
+    assert is_topological_ascent(lab, ("e", "0"), "0", "01", "012")
+    assert not is_topological_ascent(lab, ("e", "1"), "1", "12", "012")
+    assert len(roots(p, p.top)) == 5040
+    # the unique all-descent chain adds the elements in decreasing order
+    assert descending_chains(p, lab, p.bottom, p.top) == [
+        ("e", "6", "56", "456", "3456", "23456", "123456", "0123456")]

@@ -147,3 +147,9 @@ def test_dot_export(fig1):
     dot = to_dot(fig1.poset)
     assert dot.startswith("digraph")
     assert '"0hat" -> "a"' in dot
+
+
+def test_poset_from_json_accepts_tuple_pairs():
+    data = {"elements": ("0", "a", "1"), "covers": [("0", "a"), ["a", "1"]]}
+    p = poset_from_json(data)
+    assert list(p.covers) == [("0", "a"), ("a", "1")]

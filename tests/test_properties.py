@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shellab import (
@@ -20,7 +21,8 @@ from shellab import (
     verify_label_bound,
 )
 from shellab.chains import roots
-from conftest import bfs_reachable, brute_paths
+from shellab.labeling import KINDS
+from conftest import _classify_literal, bfs_reachable, brute_paths, brute_rooted_covers
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -115,3 +117,31 @@ def test_shelling_formulations_agree(p, shuffle_seed):
     order = list(k.facets)
     random.Random(shuffle_seed).shuffle(order)
     assert is_shelling(k, order).ok == is_shelling_facewise(k, order).ok
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
+def test_classify_matches_literal_oracle(p, label_seed, spread, rooted):
+    # labels from 1..spread tie often, so every kind fails on some examples
+    rng = random.Random(label_seed)
+    if rooted:
+        lab = CELabeling.from_chain_table(
+            p, {rc: rng.randint(1, spread) for rc in brute_rooted_covers(p)})
+    else:
+        lab = CELabeling.from_edges(p, {c: rng.randint(1, spread) for c in p.covers})
+    for kind in KINDS:
+        assert classify(lab, p, kinds={kind}) == _classify_literal(lab, p, {kind})
+    assert classify(lab, p) == _classify_literal(lab, p, KINDS)
+
+
+@pytest.mark.parametrize("seed, n", [(75, 7), (137, 8), (140, 7)])
+def test_self_consistency_witness_matches_literal_oracle(seed, n):
+    # TCL labelings that are not self-consistent are rare among random
+    # examples; these seeds give one below a non-bottom root (75) and two
+    # whose witness has y != y' (137, 140)
+    p = random_bounded_poset(seed, n, 0.5)
+    rng = random.Random(seed)
+    lab = CELabeling.from_edges(p, {c: rng.randint(1, 3) for c in p.covers})
+    rep = classify(lab, p, kinds={"tcl", "self-consistent"})
+    assert rep.is_tcl and not rep.is_self_consistent
+    assert rep == _classify_literal(lab, p, {"tcl", "self-consistent"})

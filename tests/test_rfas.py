@@ -331,3 +331,12 @@ def test_first_atom_set_json_roundtrip(fig8):
     data = json.loads(json.dumps(first_atom_set_to_json(omega)))
     back = first_atom_set_from_json(p, data)
     assert back.table == omega.table
+
+
+def test_cyclic_chain_order_is_not_an_rfas():
+    from shellab import ChainOrderDag
+
+    dag = ChainOrderDag((("0hat", "a", "1hat"), ("0hat", "b", "1hat")),
+                        frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(NotAnRfasError):
+        dag.closure()

@@ -6,6 +6,7 @@ from shellab import (
     AmbiguousRootError,
     BudgetExceededError,
     EmptyIntervalError,
+    EulerMismatchError,
     NotAShellingError,
     OrderComplex,
     brute_force_shellable,
@@ -84,6 +85,16 @@ def test_triangle_boundary():
     rep = homotopy_report(k, k.facets)
     assert rep.wedge_counts == {1: 1}  # a circle
     assert rep.euler_characteristic == 0
+
+
+def test_homotopy_report_euler_mismatch_raises(monkeypatch):
+    k = OrderComplex(
+        ("a", "b", "c"),
+        (frozenset("ab"), frozenset("bc"), frozenset("ca")),
+    )
+    monkeypatch.setattr(OrderComplex, "euler_characteristic", lambda self: 1)
+    with pytest.raises(EulerMismatchError):
+        homotopy_report(k, k.facets)
 
 
 def test_two_disjoint_edges_not_shellable():
