@@ -14,6 +14,7 @@ from .errors import (
     CycleDetectedError,
     EmptyIntervalError,
     EulerMismatchError,
+    InvalidInputError,
     InvalidIntervalError,
     InvalidPosetError,
     InvalidRootError,
@@ -92,7 +93,6 @@ from .shelling import (
     descending_chains,
     homotopy_report,
     is_shelling,
-    is_shelling_facewise,
     order_complex,
     restriction_map,
 )

@@ -3,7 +3,7 @@
 Every subcommand emits a report whose payload is byte-stable across runs for
 fixed inputs: the ``timings`` field carries deterministic work counters, not
 wall-clock times.  Exit status is 0 when every requested verdict holds, 1
-when one fails, and 2 on usage errors.
+when one fails or an input cannot be used, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import corpus
 from .chains import (
@@ -19,7 +20,7 @@ from .chains import (
     maximal_chains,
     rooted_cover_count,
 )
-from .errors import ShellabError
+from .errors import InvalidInputError, ShellabError
 from .labeling import (
     classify,
     labeling_from_json,
@@ -43,7 +44,13 @@ from .shelling import complex_from_json, is_shelling, order_complex
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path}: not a JSON object")
+    return data
 
 
 def _resolve_poset(ref):
@@ -53,28 +60,21 @@ def _resolve_poset(ref):
     return load_poset(ref)
 
 
-def _resolve_labeling(poset, ref, budget):
+def _resolve_table(kind, from_json, poset, ref, budget):
+    """A labeling or first atom set: ``corpus:NAME/KEY`` or a JSON file."""
     if ref.startswith("corpus:"):
         name, _, key = ref.split(":", 1)[1].partition("/")
-        ex = corpus.load_named(name)
-        if not key or key not in ex.labelings:
+        tables = getattr(corpus.load_named(name), kind)
+        if not key or key not in tables:
             raise ShellabError(
-                f"corpus example {name!r} labelings: {sorted(ex.labelings)}"
+                f"corpus example {name!r} {kind.replace('_', ' ')}: {sorted(tables)}"
             )
-        return ex.labelings[key]
-    return labeling_from_json(poset, _load_json(ref), budget)
+        return tables[key]
+    return from_json(poset, _load_json(ref), budget)
 
 
-def _resolve_first_atom_set(poset, ref, budget):
-    if ref.startswith("corpus:"):
-        name, _, key = ref.split(":", 1)[1].partition("/")
-        ex = corpus.load_named(name)
-        if not key or key not in ex.first_atom_sets:
-            raise ShellabError(
-                f"corpus example {name!r} first atom sets: {sorted(ex.first_atom_sets)}"
-            )
-        return ex.first_atom_sets[key]
-    return first_atom_set_from_json(poset, _load_json(ref), budget)
+_resolve_labeling = partial(_resolve_table, "labelings", labeling_from_json)
+_resolve_first_atom_set = partial(_resolve_table, "first_atom_sets", first_atom_set_from_json)
 
 
 def _chain_str(chain):
@@ -138,8 +138,6 @@ class Report:
 
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker cap (results are identical for any N)")
     parser.add_argument("--max-rooted-covers", type=int,
                         default=DEFAULT_ROOTED_COVER_BUDGET)
     parser.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
@@ -425,7 +423,7 @@ def run(argv) -> int:
     report = Report(args.subcommand, inputs)
     try:
         _COMMANDS[args.subcommand](args, report)
-    except ShellabError as exc:
+    except (ShellabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return report.emit(args.json)

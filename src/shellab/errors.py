@@ -25,6 +25,11 @@ class InvalidRootError(ShellabError):
     """A chain offered as a root is not a maximal chain of the bottom interval."""
 
 
+class InvalidInputError(ShellabError, ValueError):
+    """Input is malformed: not a JSON object, a missing field, or facets
+    that do not fit the complex."""
+
+
 class InvalidIntervalError(ShellabError, ValueError):
     """An interval endpoint is not an element, or the lower one is not below the upper."""
 

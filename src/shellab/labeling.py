@@ -24,6 +24,7 @@ from .chains import (
 )
 from .errors import (
     AmbiguousOrderError,
+    InvalidInputError,
     InvalidIntervalError,
     InvalidRootError,
     MissingLabelError,
@@ -467,6 +468,8 @@ def labeling_to_json(lab: CELabeling) -> dict:
 
 def labeling_from_json(poset: Poset, data: dict,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
+    if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
+        raise InvalidInputError('a labeling needs an object with a "labels" list')
     mode = data.get("mode", "edge")
     if mode == "edge":
         table = {(e["from"], e["to"]): e["label"] for e in data["labels"]}
@@ -476,7 +479,7 @@ def labeling_from_json(poset: Poset, data: dict,
             (tuple(e["root"]), e["from"], e["to"]): e["label"] for e in data["labels"]
         }
         return CELabeling.from_chain_table(poset, table, budget)
-    raise ValueError(f"unknown labeling mode {mode!r}")
+    raise InvalidInputError(f"unknown labeling mode {mode!r}")
 
 
 def load_labeling(poset: Poset, path,

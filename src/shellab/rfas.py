@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
@@ -241,15 +242,19 @@ class ChainOrderDag:
             for i in range(n) for j in range(n)
         )
 
+    @cached_property
+    def preds(self):
+        """preds[j] = chain indices with an edge into j.  A set of chains
+        holding every direct predecessor of each member is a down-set of the
+        (acyclic) chain order, so direct edges decide placement."""
+        preds = [set() for _ in self.chains]
+        for i, j in self.edges:
+            preds[j].add(i)
+        _topo_indices(len(preds), preds)  # a cycle reversed is still a cycle
+        return preds
+
     def minimal_indices(self):
-        cl = self.closure()
-        n = len(self.chains)
-        preds = [set() for _ in range(n)]
-        for i in range(n):
-            for j in cl[i]:
-                if j != i:
-                    preds[j].add(i)
-        return [i for i in range(n) if not preds[i]]
+        return [i for i, p in enumerate(self.preds) if not p]
 
 
 def _topo_indices(n, succ):
@@ -296,12 +301,7 @@ def chain_order_dag(poset: Poset, omega: FirstAtomSet,
 def linear_extensions(dag: ChainOrderDag):
     """All linear extensions of the chain order, deterministically ordered."""
     n = len(dag.chains)
-    cl = dag.closure()
-    preds = [set() for _ in range(n)]
-    for i in range(n):
-        for j in cl[i]:
-            if j != i:
-                preds[j].add(i)
+    preds = dag.preds
 
     def rec(placed, placed_set):
         if len(placed) == n:
@@ -360,13 +360,7 @@ def check_lc(poset: Poset, omega: FirstAtomSet,
     open_by_q = {}
     open_by_qy = {}
 
-    cl = dag.closure()
-    preds = [set() for _ in range(n)]
-    for i in range(n):
-        for j in cl[i]:
-            if j != i:
-                preds[j].add(i)
-
+    preds = dag.preds
     nodes = 0
     order = []
     placed_set = set()

@@ -2,16 +2,19 @@
 
 Shellings are checked in the nonpure sense: each facet after the first must
 meet the union of its predecessors in a pure subcomplex of dimension one
-less than the facet's own.  Two equivalent formulations are implemented: a
-pairwise-witness test and a direct face-purity test; property tests assert
-their agreement.
+less than the facet's own.  One kernel on vertex bitmasks decides this in
+the restriction-set form (Björner & Wachs, "Shellable nonpure complexes and
+posets I"): the order is a shelling exactly when no earlier facet contains
+R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .chains import check_interval, interval_chains, maximal_chains
 from .errors import (
@@ -19,6 +22,7 @@ from .errors import (
     BudgetExceededError,
     EmptyIntervalError,
     EulerMismatchError,
+    InvalidInputError,
     NotAShellingError,
 )
 from .labeling import CELabeling, _Verifier
@@ -33,12 +37,14 @@ class OrderComplex:
     facets: tuple
 
     def __post_init__(self):
-        for f, g in combinations(self.facets, 2):
-            if f <= g or g <= f:
-                raise ValueError("facets must not contain one another")
-        covered = set().union(*self.facets) if self.facets else set()
-        if covered != set(self.vertices):
-            raise ValueError("every vertex must lie in some facet")
+        masks = _vertex_masks(self.facets)
+        every = (1 << len(self.facets)) - 1
+        for i, f in enumerate(self.facets):
+            # the facets containing f are the common bits of its vertices
+            if reduce(and_, map(masks.__getitem__, f), every) != 1 << i:
+                raise InvalidInputError("facets must not contain one another")
+        if masks.keys() != set(self.vertices):
+            raise InvalidInputError("every vertex must lie in some facet")
 
     def faces(self):
         """All nonempty faces."""
@@ -120,41 +126,51 @@ class ShellingResult:
 def _check_order_is_permutation(complex_: OrderComplex, order):
     order = tuple(order)
     if sorted(order, key=sorted) != sorted(complex_.facets, key=sorted):
-        raise ValueError("order must be a permutation of the facets")
+        raise InvalidInputError("order must be a permutation of the facets")
     return order
 
 
-def is_shelling(complex_: OrderComplex, order) -> ShellingResult:
-    """Pairwise-witness shelling test.
+def _vertex_masks(facets) -> dict:
+    """vertex -> bitmask of the positions of the facets containing it."""
+    masks = {}
+    for pos, facet in enumerate(facets):
+        for v in facet:
+            masks[v] = masks.get(v, 0) | 1 << pos
+    return masks
 
-    For each j > 1 and i < j there must be k < j with
-    F_i & F_j <= F_k & F_j and |F_k & F_j| = |F_j| - 1.
+
+def _restriction(masks, facet, earlier):
+    """(R, holders) for `facet` placed after the facets in bitmask `earlier`.
+
+    v is in R when the AND of `earlier` with the masks of facet - v is
+    nonzero (prefix and suffix ANDs give this for every v).  `holders` is the
+    bitmask of earlier facets containing R: 0 exactly when the placement
+    keeps a shelling.
     """
-    order = _check_order_is_permutation(complex_, order)
-    for j in range(1, len(order)):
-        fj = order[j]
-        big = [order[k] & fj for k in range(j) if len(order[k] & fj) == len(fj) - 1]
-        for i in range(j):
-            inter = order[i] & fj
-            if not any(inter <= w for w in big):
-                return ShellingResult(False, (j, i))
-    return ShellingResult(True)
+    vs = tuple(facet)
+    suffix = [earlier]
+    for v in reversed(vs):
+        suffix.append(suffix[-1] & masks[v])
+    suffix.reverse()
+    restr, holders, prefix = [], earlier, -1
+    for v, rest in zip(vs, suffix[1:]):
+        if prefix & rest:
+            restr.append(v)
+            holders &= masks[v]
+        prefix &= masks[v]
+    return frozenset(restr), holders
 
 
-def is_shelling_facewise(complex_: OrderComplex, order) -> ShellingResult:
-    """Face-purity formulation: the intersection with the union of earlier
-    facet closures is pure of dimension dim(F_j) - 1."""
+def is_shelling(complex_: OrderComplex, order) -> ShellingResult:
+    """Nonpure shelling test.  A failure carries the first (j, i) such that
+    no k < j has F_i & F_j <= F_k & F_j with |F_k & F_j| = |F_j| - 1; these
+    i are exactly the earlier facets containing R(F_j)."""
     order = _check_order_is_permutation(complex_, order)
+    masks = _vertex_masks(order)
     for j in range(1, len(order)):
-        fj = order[j]
-        shared = {order[i] & fj for i in range(j)}
-        maximal = [s for s in shared
-                   if not any(s < t for t in shared)]
-        if any(len(s) != len(fj) - 1 for s in maximal):
-            bad = next(i for i in range(j)
-                       if (order[i] & fj) in
-                       {s for s in maximal if len(s) != len(fj) - 1})
-            return ShellingResult(False, (j, bad))
+        _, holders = _restriction(masks, order[j], (1 << j) - 1)
+        if holders:
+            return ShellingResult(False, (j, (holders & -holders).bit_length() - 1))
     return ShellingResult(True)
 
 
@@ -164,14 +180,13 @@ def restriction_map(complex_: OrderComplex, order) -> dict:
     The new faces contributed at step j are exactly those containing R(F_j).
     Raises NotAShellingError when the order is not a shelling.
     """
-    order = tuple(order)
-    if not is_shelling(complex_, order).ok:
-        raise NotAShellingError("facet order fails the shelling condition")
+    order = _check_order_is_permutation(complex_, order)
+    masks = _vertex_masks(order)
     out = {}
-    for j, fj in enumerate(order):
-        out[fj] = frozenset(
-            v for v in fj if any(fj - {v} <= order[i] for i in range(j))
-        )
+    for j, facet in enumerate(order):
+        out[facet], holders = _restriction(masks, facet, (1 << j) - 1)
+        if holders:
+            raise NotAShellingError("facet order fails the shelling condition")
     return out
 
 
@@ -223,42 +238,26 @@ def brute_force_shellable(complex_: OrderComplex, max_facets: int = 9,
             f"complex has {n} facets, brute-force cap is {max_facets}",
             facets=n, max_facets=max_facets,
         )
-    if n == 0:
-        return ()
+    masks = _vertex_masks(facets)
     dead = set()
 
-    def can_append(placed_idx, j):
-        fj = facets[j]
-        big = [facets[k] & fj for k in placed_idx
-               if len(facets[k] & fj) == len(fj) - 1]
-        for i in placed_idx:
-            inter = facets[i] & fj
-            if not any(inter <= w for w in big):
-                return False
-        return True
-
-    def search(placed, placed_set):
+    def search(placed, placed_mask):
         if len(placed) == n:
             return tuple(facets[i] for i in placed)
-        key = frozenset(placed_set)
-        if key in dead:
+        if placed_mask in dead:
             return None
         for j in range(n):
-            if j in placed_set:
-                continue
-            if placed and not can_append(placed, j):
+            if placed_mask >> j & 1 or _restriction(masks, facets[j], placed_mask)[1]:
                 continue
             placed.append(j)
-            placed_set.add(j)
-            found = search(placed, placed_set)
+            found = search(placed, placed_mask | 1 << j)
             if found is not None:
                 return found
             placed.pop()
-            placed_set.remove(j)
-        dead.add(key)
+        dead.add(placed_mask)
         return None
 
-    return search([], set())
+    return search([], 0)
 
 
 def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):

@@ -80,7 +80,22 @@ def shelling_orders_by_exhaustion(facets):
     return good
 
 
+def _shelling_violation_literal(order):
+    """First (j, i) such that no k < j has F_i & F_j <= F_k & F_j with
+    |F_k & F_j| = |F_j| - 1 (the pairwise-witness form), or None."""
+    for j in range(1, len(order)):
+        fj = order[j]
+        big = [order[k] & fj for k in range(j) if len(order[k] & fj) == len(fj) - 1]
+        for i in range(j):
+            inter = order[i] & fj
+            if not any(inter <= w for w in big):
+                return (j, i)
+    return None
+
+
 def _is_shelling_literal(order):
+    """The face-purity form: the maximal faces F_j shares with earlier facets
+    all have dimension dim F_j - 1."""
     for j in range(1, len(order)):
         fj = order[j]
         shared = [order[i] & fj for i in range(j)]

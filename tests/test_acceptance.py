@@ -29,7 +29,6 @@ from shellab import (
     is_compatible,
     is_graded,
     is_shelling,
-    is_shelling_facewise,
     label_sequence,
     lex_order_max_chains,
     linear_extensions,
@@ -47,7 +46,7 @@ from shellab import (
     verify_label_bound,
 )
 from shellab.chains import roots
-from conftest import bfs_reachable, shelling_orders_by_exhaustion
+from conftest import _is_shelling_literal, bfs_reachable, shelling_orders_by_exhaustion
 
 
 def _criterion(number, description, checks):
@@ -389,7 +388,7 @@ def test_criterion_12_property_sweep():
         order = list(k.facets)
         rng.shuffle(order)
         for candidate in (list(k.facets), order):
-            if is_shelling(k, candidate).ok != is_shelling_facewise(k, candidate).ok:
+            if is_shelling(k, candidate).ok != _is_shelling_literal(candidate):
                 failures.append(f"seed {seed}: shelling formulations disagree")
 
     # (e) first-atom-set invariants on the corpus-seeded TCL instances

@@ -55,16 +55,6 @@ def test_json_report_is_byte_stable(capsys):
     assert list(payload) == ["command", "inputs", "verdicts", "witnesses", "timings"]
 
 
-def test_threads_flag_is_accepted_and_immaterial(capsys):
-    assert run(["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold",
-                "--json", "--threads", "1"]) == 0
-    one = capsys.readouterr().out
-    assert run(["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold",
-                "--json", "--threads", "4"]) == 0
-    four = capsys.readouterr().out
-    assert json.loads(one)["verdicts"] == json.loads(four)["verdicts"]
-
-
 def test_relabel_pipeline(tmp_path, capsys):
     out = tmp_path / "relabeled.json"
     code = run(["relabel", "corpus:fig2-P", "--order-from-labeling",
@@ -130,6 +120,24 @@ def test_malformed_poset_file_is_an_error(tmp_path, capsys, data, message):
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(data))
     assert run(["chains", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["check", "--kind", "el", "corpus:fig1", "{path}"], '{"mode": "edge"}', '"labels"'),
+    (["rfas-check", "corpus:fig1", "{path}"], "not json", "not JSON"),
+    (["chains", "{path}"], None, "No such file"),
+    (["rfas-check", "corpus:fig1", "{path}"], "[1, 2]", "not a JSON object"),
+    (["shelling-verify", "corpus:fig1", "--order-file", "{path}"], "0hat a 1hat\n",
+     "permutation of the facets"),
+], ids=["labeling-without-labels", "first-atoms-not-json", "missing-file",
+        "first-atoms-not-an-object", "order-not-a-permutation"])
+def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert run([a.replace("{path}", str(path)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

@@ -7,22 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 from shellab import (
     CELabeling,
+    brute_force_shellable,
     classify,
     dual,
     is_graded,
     is_shelling,
-    is_shelling_facewise,
     maximal_chains,
     order_complex,
     random_bounded_poset,
     relabel_from_order,
+    restriction_map,
     rooted_cover_count,
     verify_block_structure,
     verify_label_bound,
 )
 from shellab.chains import roots
 from shellab.labeling import KINDS
-from conftest import _classify_literal, bfs_reachable, brute_paths, brute_rooted_covers
+from conftest import (
+    _classify_literal,
+    _is_shelling_literal,
+    _shelling_violation_literal,
+    bfs_reachable,
+    brute_paths,
+    brute_rooted_covers,
+    shelling_orders_by_exhaustion,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -116,7 +125,25 @@ def test_shelling_formulations_agree(p, shuffle_seed):
     k = order_complex(p)
     order = list(k.facets)
     random.Random(shuffle_seed).shuffle(order)
-    assert is_shelling(k, order).ok == is_shelling_facewise(k, order).ok
+    assert is_shelling(k, order).ok == _is_shelling_literal(order)
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_shelling_kernel_matches_literal_oracles(p, shuffle_seed):
+    k = order_complex(p)
+    order = list(k.facets)
+    random.Random(shuffle_seed).shuffle(order)
+    result = is_shelling(k, order)
+    assert result.first_violation == _shelling_violation_literal(order)
+    if result.ok:
+        assert restriction_map(k, order) == {
+            f: frozenset(v for v in f if any(f - {v} <= e for e in order[:j]))
+            for j, f in enumerate(order)
+        }
+    if len(k.facets) <= 6:
+        assert ((brute_force_shellable(k) is None)
+                == (shelling_orders_by_exhaustion(k.facets) == []))
 
 
 @SETTINGS

@@ -16,7 +16,6 @@ from shellab import (
     descending_chains,
     homotopy_report,
     is_shelling,
-    is_shelling_facewise,
     label_sequence,
     lex_order_max_chains,
     maximal_chains,
@@ -24,6 +23,7 @@ from shellab import (
     restriction_map,
 )
 from conftest import (
+    _is_shelling_literal,
     brute_euler_characteristic,
     shelling_orders_by_exhaustion,
 )
@@ -85,6 +85,8 @@ def test_triangle_boundary():
     rep = homotopy_report(k, k.facets)
     assert rep.wedge_counts == {1: 1}  # a circle
     assert rep.euler_characteristic == 0
+    with pytest.raises(ValueError, match="contain one another"):
+        OrderComplex(k.vertices, k.facets + (frozenset("a"),))
 
 
 def test_homotopy_report_euler_mismatch_raises(monkeypatch):
@@ -112,7 +114,7 @@ def test_formulations_agree_by_exhaustion(fig5q):
 
     for perm in permutations(k.facets):
         a = is_shelling(k, perm).ok
-        b = is_shelling_facewise(k, perm).ok
+        b = _is_shelling_literal(perm)
         assert a == b == False  # noqa: E712
 
 
@@ -150,9 +152,9 @@ def test_fig2_lex_order_shells_and_formulations_agree(fig2):
     k = order_complex(p)
     order = [frozenset(c) for c in lex_order_max_chains(bold, p)]
     assert is_shelling(k, order).ok
-    assert is_shelling_facewise(k, order).ok
+    assert _is_shelling_literal(order)
     reversed_order = list(reversed(order))
-    assert is_shelling(k, reversed_order).ok == is_shelling_facewise(k, reversed_order).ok
+    assert is_shelling(k, reversed_order).ok == _is_shelling_literal(reversed_order)
 
 
 def test_nonpure_shelling_fig3(fig3):
@@ -161,7 +163,7 @@ def test_nonpure_shelling_fig3(fig3):
     assert len({len(f) for f in k.facets}) > 1  # genuinely nonpure
     order = [frozenset(c) for c in lex_order_max_chains(left, q)]
     assert is_shelling(k, order).ok
-    assert is_shelling_facewise(k, order).ok
+    assert _is_shelling_literal(order)
 
 
 def test_descending_chains_fig2(fig2):
