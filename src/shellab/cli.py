@@ -22,6 +22,7 @@ from .chains import (
 )
 from .errors import InvalidInputError, ShellabError
 from .labeling import (
+    KINDS,
     classify,
     labeling_from_json,
     labeling_to_json,
@@ -159,8 +160,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("check", help="verify a labeling kind")
-    p.add_argument("--kind", required=True,
-                   choices=["el", "cl", "ec", "cc", "tcl", "self-consistent"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("poset")
     p.add_argument("labeling")
     _add_common(p)

@@ -7,9 +7,9 @@ record is re-derived by the test suite, so the files are data, not verdicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
+from .._record import Record
 from ..errors import UnknownNameError
 from ..labeling import CELabeling, labeling_from_json
 from ..poset import Poset, poset_from_json
@@ -18,14 +18,18 @@ from ..rfas import FirstAtomSet, first_atom_set_from_json
 NAMES = ("fig1", "fig2-P", "fig3-Q", "fig5-P", "fig5-Q", "fig8")
 
 
-@dataclass
-class NamedExample:
-    name: str
-    poset: Poset
-    labelings: dict = field(default_factory=dict)
-    first_atom_sets: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
-    comment: str = ""
+class NamedExample(Record):
+    _fields = ("name", "poset", "labelings", "first_atom_sets", "expected",
+               "comment")
+
+    def __init__(self, name, poset, labelings=None, first_atom_sets=None,
+                 expected=None, comment=""):
+        self.name = name
+        self.poset = poset
+        self.labelings = {} if labelings is None else labelings
+        self.first_atom_sets = {} if first_atom_sets is None else first_atom_sets
+        self.expected = {} if expected is None else expected
+        self.comment = comment
 
     def labeling(self, key) -> CELabeling:
         return self.labelings[key]

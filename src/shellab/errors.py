@@ -30,6 +30,18 @@ class InvalidInputError(ShellabError, ValueError):
     that do not fit the complex."""
 
 
+def entry_error(what, entries, keys, exc) -> InvalidInputError:
+    """The error for a list of input-file entries whose loading raised `exc`:
+    it names the first entry that is not an object or lacks one of `keys`."""
+    for e in entries:
+        if not isinstance(e, dict):
+            return InvalidInputError(f"{what} entry {e!r} is not an object")
+        for k in keys:
+            if k not in e:
+                return InvalidInputError(f'{what} entry {e!r} has no "{k}" field')
+    return InvalidInputError(f"unusable {what} entry: {exc}")
+
+
 class InvalidIntervalError(ShellabError, ValueError):
     """An interval endpoint is not an element, or the lower one is not below the upper."""
 

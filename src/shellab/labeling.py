@@ -10,9 +10,9 @@ prefix precedes its extensions).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import Record
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
     ensure_budget,
@@ -28,6 +28,7 @@ from .errors import (
     InvalidIntervalError,
     InvalidRootError,
     MissingLabelError,
+    entry_error,
 )
 from .poset import Poset
 
@@ -241,8 +242,7 @@ def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:
                for c in interval_chains(lab.poset, u, w) if c != (u, v, w))
 
 
-@dataclass
-class LabelingReport:
+class LabelingReport(Record):
     """Outcome of classify(): one flag per requested kind plus witnesses.
 
     Flags are None when the kind was not requested.  For every False flag,
@@ -250,13 +250,18 @@ class LabelingReport:
     canonical enumeration order) together with the offending chains.
     """
 
-    is_el: bool | None = None
-    is_cl: bool | None = None
-    is_ec: bool | None = None
-    is_cc: bool | None = None
-    is_tcl: bool | None = None
-    is_self_consistent: bool | None = None
-    witnesses: dict = field(default_factory=dict)
+    _fields = ("is_el", "is_cl", "is_ec", "is_cc", "is_tcl",
+               "is_self_consistent", "witnesses")
+
+    def __init__(self, is_el=None, is_cl=None, is_ec=None, is_cc=None,
+                 is_tcl=None, is_self_consistent=None, witnesses=None):
+        self.is_el = is_el
+        self.is_cl = is_cl
+        self.is_ec = is_ec
+        self.is_cc = is_cc
+        self.is_tcl = is_tcl
+        self.is_self_consistent = is_self_consistent
+        self.witnesses = {} if witnesses is None else witnesses
 
     def flag(self, kind: str):
         return getattr(self, "is_" + kind.replace("-", "_"))
@@ -470,16 +475,20 @@ def labeling_from_json(poset: Poset, data: dict,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
     if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
         raise InvalidInputError('a labeling needs an object with a "labels" list')
-    mode = data.get("mode", "edge")
+    mode, labels = data.get("mode", "edge"), data["labels"]
+    if mode not in ("edge", "chain-edge"):
+        raise InvalidInputError(f"unknown labeling mode {mode!r}")
+    try:
+        if mode == "edge":
+            table = {(e["from"], e["to"]): e["label"] for e in labels}
+        else:
+            table = {(tuple(e["root"]), e["from"], e["to"]): e["label"] for e in labels}
+    except (KeyError, TypeError) as exc:
+        keys = ("root",) * (mode == "chain-edge") + ("from", "to", "label")
+        raise entry_error("labeling", labels, keys, exc) from None
     if mode == "edge":
-        table = {(e["from"], e["to"]): e["label"] for e in data["labels"]}
         return CELabeling.from_edges(poset, table)
-    if mode == "chain-edge":
-        table = {
-            (tuple(e["root"]), e["from"], e["to"]): e["label"] for e in data["labels"]
-        }
-        return CELabeling.from_chain_table(poset, table, budget)
-    raise InvalidInputError(f"unknown labeling mode {mode!r}")
+    return CELabeling.from_chain_table(poset, table, budget)
 
 
 def load_labeling(poset: Poset, path,

@@ -8,25 +8,26 @@ mirrors the hand argument that rules out every two-atom prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .errors import BudgetExceededError, MalformedCertificateError
 from .poset import Poset
 
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 
-@dataclass
-class RaoTree:
+class RaoTree(Record):
     """Certificate: an atom order for [bottom, top] plus child certificates.
 
     Children are keyed by atom; intervals whose longest chain has length one
     are leaves.
     """
 
-    bottom: str
-    atom_order: tuple
-    children: dict = field(default_factory=dict)
+    _fields = ("bottom", "atom_order", "children")
+
+    def __init__(self, bottom, atom_order, children=None):
+        self.bottom = bottom
+        self.atom_order = atom_order
+        self.children = {} if children is None else children
 
     def to_json(self):
         return {

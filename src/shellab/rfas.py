@@ -13,9 +13,9 @@ compatible with the table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import Record
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
     ensure_budget,
@@ -25,10 +25,12 @@ from .chains import (
 )
 from .errors import (
     BudgetExceededError,
+    InvalidInputError,
     MissingFirstAtomError,
     NoLcExtensionError,
     NotAnRfasError,
     NotTclError,
+    entry_error,
 )
 from .labeling import CELabeling, _Verifier, classify, lex_order_max_chains
 from .poset import Poset, build_poset
@@ -127,21 +129,25 @@ def pseudo_descents(omega: FirstAtomSet, chain, root=None):
     return out
 
 
-@dataclass
-class RfasViolation:
-    condition: str       # "i" or "ii"
-    direction: str | None  # "forward" / "backward" for (i), None for (ii)
-    root: tuple
-    x: str
-    y: str
-    atom: str
-    detail: str = ""
+class RfasViolation(Record):
+    _fields = ("condition", "direction", "root", "x", "y", "atom", "detail")
+
+    def __init__(self, condition, direction, root, x, y, atom, detail=""):
+        self.condition = condition  # "i" or "ii"
+        self.direction = direction  # "forward"/"backward" for (i), None for (ii)
+        self.root = root
+        self.x = x
+        self.y = y
+        self.atom = atom
+        self.detail = detail
 
 
-@dataclass
-class RfasReport:
-    ok: bool
-    violations: list = field(default_factory=list)
+class RfasReport(Record):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok, violations=None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.ok
@@ -203,13 +209,15 @@ def _condition_ii_walk(poset, omega, r, x, y, first, b, literal_ii) -> bool:
     return True
 
 
-@dataclass
-class ChainOrderDag:
+class ChainOrderDag(Record):
     """Maximal chains with the replace-a-pseudo-descent relation."""
 
-    chains: tuple
-    edges: frozenset  # (i, j): chains[i] precedes chains[j]
-    _closure: list = None
+    _fields = ("chains", "edges")
+
+    def __init__(self, chains, edges):
+        self.chains = chains
+        self.edges = edges  # (i, j): chains[i] precedes chains[j]
+        self._closure = None
 
     def index(self, chain):
         return self.chains.index(tuple(chain))
@@ -507,10 +515,16 @@ def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
 
 def first_atom_set_from_json(poset: Poset, data: dict,
                              budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
+    listed = data.get("first_atoms", [])
+    if not isinstance(listed, list):
+        raise InvalidInputError('"first_atoms" must be a list')
     entries = {}
-    for e in data.get("first_atoms", []):
-        root = tuple(e["root"]) if e.get("root") is not None else None
-        entries[(root, e["x"], e["y"])] = e["atom"]
+    try:
+        for e in listed:
+            root = tuple(e["root"]) if e.get("root") is not None else None
+            entries[(root, e["x"], e["y"])] = e["atom"]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise entry_error("first atom", listed, ("x", "y", "atom"), exc) from None
     default = data.get("default", "leftmost")
     return FirstAtomSet.from_entries(poset, entries, default, budget)
 

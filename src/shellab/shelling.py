@@ -11,11 +11,11 @@ R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
 
+from ._record import Record
 from .chains import check_interval, interval_chains, maximal_chains
 from .errors import (
     AmbiguousRootError,
@@ -29,14 +29,18 @@ from .labeling import CELabeling, _Verifier
 from .poset import Poset
 
 
-@dataclass(frozen=True)
-class OrderComplex:
-    """A simplicial complex given by its facets (inclusion-maximal faces)."""
+class OrderComplex(Record):
+    """A simplicial complex given by its facets (inclusion-maximal faces).
 
-    vertices: tuple
-    facets: tuple
+    Immutable and hashable; construction checks that no facet contains
+    another and that every vertex lies in some facet.
+    """
 
-    def __post_init__(self):
+    _fields = ("vertices", "facets")
+
+    def __init__(self, vertices, facets):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "facets", facets)
         masks = _vertex_masks(self.facets)
         every = (1 << len(self.facets)) - 1
         for i, f in enumerate(self.facets):
@@ -45,6 +49,15 @@ class OrderComplex:
                 raise InvalidInputError("facets must not contain one another")
         if masks.keys() != set(self.vertices):
             raise InvalidInputError("every vertex must lie in some facet")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.vertices, self.facets))
 
     def faces(self):
         """All nonempty faces."""
@@ -114,10 +127,12 @@ def order_complex(poset: Poset, interval=None) -> OrderComplex:
     return OrderComplex(vertices, tuple(facets))
 
 
-@dataclass
-class ShellingResult:
-    ok: bool
-    first_violation: tuple | None = None  # (j, i) facet positions
+class ShellingResult(Record):
+    _fields = ("ok", "first_violation")
+
+    def __init__(self, ok, first_violation=None):
+        self.ok = ok
+        self.first_violation = first_violation  # (j, i) facet positions
 
     def __bool__(self):
         return self.ok
@@ -190,12 +205,14 @@ def restriction_map(complex_: OrderComplex, order) -> dict:
     return out
 
 
-@dataclass
-class HomotopyReport:
+class HomotopyReport(Record):
     """Wedge summand counts per dimension, with an Euler cross-check."""
 
-    wedge_counts: dict
-    euler_characteristic: int
+    _fields = ("wedge_counts", "euler_characteristic")
+
+    def __init__(self, wedge_counts, euler_characteristic):
+        self.wedge_counts = wedge_counts
+        self.euler_characteristic = euler_characteristic
 
     def total_spheres(self) -> int:
         return sum(self.wedge_counts.values())
@@ -297,7 +314,11 @@ def complex_to_json(complex_: OrderComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> OrderComplex:
-    facets = tuple(frozenset(f) for f in data["facets"])
+    listed = data.get("facets") if isinstance(data, dict) else None
+    if not isinstance(listed, (list, tuple)) or not all(
+            isinstance(f, (list, tuple)) for f in listed):
+        raise InvalidInputError('a complex needs an object with a "facets" list of vertex lists')
+    facets = tuple(frozenset(f) for f in listed)
     vertices = tuple(sorted(set().union(*facets))) if facets else ()
     return OrderComplex(vertices, facets)
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shellab
 from shellab.cli import run
 from shellab import poset_to_json
 from shellab.corpus import load_named
@@ -140,6 +144,35 @@ def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, messag
     assert run([a.replace("{path}", str(path)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, content, field", [
+    (["check", "--kind", "el", "corpus:fig1", "{path}"],
+     '{"labels": [{"from": "0hat"}]}', '"to"'),
+    (["rfas-check", "corpus:fig1", "{path}"], '{"first_atoms": [{"x": "0hat"}]}', '"y"'),
+    (["shelling-verify", "{path}", "--order-file", "{path}"], '{"x": 1}', '"facets"'),
+], ids=["labeling-entry-without-to", "first-atom-entry-without-y", "complex-without-facets"])
+def test_missing_field_in_input_file_is_an_error(tmp_path, capsys, argv, content, field):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run([a.replace("{path}", str(path)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_ast():
+    # every CLI op pays for what `import shellab.cli` loads; these three
+    # modules alone once cost about 13 ms per process
+    heavy = ("dataclasses", "inspect", "ast")
+    probe = "import sys{}; print(' '.join(m for m in {!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+
+    def loaded(extra):
+        out = subprocess.run([sys.executable, "-c", probe.format(extra, heavy)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    assert loaded(", shellab.cli") <= loaded("")
 
 
 def test_export_dot(tmp_path):

@@ -340,3 +340,18 @@ def test_cyclic_chain_order_is_not_an_rfas():
                         frozenset({(0, 1), (1, 0)}))
     with pytest.raises(NotAnRfasError):
         dag.closure()
+
+
+def test_chain_order_dag_equality_ignores_its_closure_cache():
+    from shellab import ChainOrderDag
+
+    def make():
+        return ChainOrderDag((("0hat", "a", "1hat"), ("0hat", "b", "1hat")),
+                             frozenset({(0, 1)}))
+
+    a, b = make(), make()
+    assert a == b
+    a.closure()
+    _ = a.preds
+    assert a == b and b == a
+    assert a != ChainOrderDag(a.chains, frozenset())
