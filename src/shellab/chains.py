@@ -33,7 +33,7 @@ class RootTrie:
     the root of v.
     """
 
-    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_chains")
+    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_chains", "_index")
 
     def __init__(self, poset: Poset):
         # preorder DFS: children are pushed reversed so they pop in order
@@ -62,6 +62,7 @@ class RootTrie:
         for v, e in enumerate(elem):
             self.nodes_of[e].append(v)
         self._chains = None
+        self._index = None
 
     def __len__(self):
         return len(self.elem)
@@ -92,23 +93,41 @@ class RootTrie:
 
     def child(self, v, e):
         """The child of v with element e, or None."""
-        return next((c for c in self.children(v) if self.elem[c] == e), None)
+        end, elem, c = self.end, self.elem, v + 1
+        while c < end[v] and elem[c] != e:
+            c = end[c]
+        return c if c < end[v] else None
 
-    def atom(self, g, d):
-        """Element of the child of g whose subtree holds node d > g."""
-        return self.elem[next(c for c in self.children(g) if d < self.end[c])]
+    def below(self, g, down) -> list:
+        """The children of g whose elements lie in down, the down-set of some
+        y: the atoms of the interval [elem[g], y]."""
+        end, elem, c, out = self.end, self.elem, g + 1, []
+        while c < end[g]:
+            if elem[c] in down:
+                out.append(c)
+            c = end[c]
+        return out
 
-    def find(self, root):
-        """Node of a root given as a sequence of elements, or None."""
-        root = tuple(root)
-        if not root or root[0] != self.elem[0]:
-            return None
-        v = 0
-        for e in root[1:]:
-            v = self.child(v, e)
-            if v is None:
-                return None
-        return v
+    def resolve(self, root, chain) -> list:
+        """The one place a tuple root becomes a node: the nodes of root and
+        of root extended by each further element of chain, which starts where
+        root ends.  Raises InvalidRootError unless root is a maximal chain of
+        [bottom, chain[0]], and InvalidIntervalError unless chain is saturated.
+        """
+        if self._index is None:
+            self._index = {self.chain(v): v for v in range(len(self.elem))}
+        try:
+            g = self._index.get(tuple(root))
+        except TypeError:  # not a sequence, or an unhashable element
+            g = None
+        if g is None or self.elem[g] != chain[0]:
+            raise InvalidRootError(f"{root!r} is not a root of {chain[0]!r}")
+        nodes = [g]
+        for e in chain[1:]:
+            nodes.append(self.child(nodes[-1], e))
+            if nodes[-1] is None:
+                raise InvalidIntervalError(f"{tuple(chain)!r} is not a saturated chain")
+        return nodes
 
 
 def root_trie(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET) -> RootTrie:

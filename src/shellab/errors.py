@@ -21,7 +21,7 @@ class RedundantCoverError(ShellabError):
     """A supplied cover pair is implied by transitivity of the others."""
 
 
-class InvalidRootError(ShellabError):
+class InvalidRootError(ShellabError, ValueError):
     """A chain offered as a root is not a maximal chain of the bottom interval."""
 
 

@@ -18,15 +18,12 @@ from .chains import (
     ensure_budget,
     interval_chains,
     root_trie,
-    rooted_cover_relations,
     rooted_interval_nodes,
     strictly_above,
 )
 from .errors import (
     AmbiguousOrderError,
     InvalidInputError,
-    InvalidIntervalError,
-    InvalidRootError,
     MissingLabelError,
     entry_error,
 )
@@ -39,7 +36,9 @@ class CELabeling:
     """Total map from rooted cover relations to integer labels.
 
     `root` arguments are chains from the bottom element up to and including
-    the lower element of the cover being labeled.
+    the lower element of the cover being labeled.  An edge labeling keeps
+    one label per cover pair; a chain-edge labeling keeps one label per node
+    of the poset's RootTrie: the label of the cover into that node.
     """
 
     def __init__(self, poset: Poset, edge_table=None, chain_table=None):
@@ -47,27 +46,38 @@ class CELabeling:
             raise ValueError("provide exactly one of edge_table / chain_table")
         self.poset = poset
         self._edges = dict(edge_table) if edge_table is not None else None
-        self._chains = dict(chain_table) if chain_table is not None else None
-        self._root_independent = None
+        self._lab_in = None
+        if chain_table is not None:
+            trie = root_trie(poset, None)
+            self._lab_in = [None] * len(trie)
+            for (r, u, v), lbl in chain_table.items():
+                self._lab_in[trie.resolve(r, (u, v))[1]] = lbl
+
+    @classmethod
+    def _from_nodes(cls, poset: Poset, lab_in) -> "CELabeling":
+        """Chain-edge labeling from its label per RootTrie node."""
+        lab = cls(poset, chain_table={})
+        lab._lab_in = lab_in
+        return lab
 
     @classmethod
     def from_edges(cls, poset: Poset, table) -> "CELabeling":
         """Edge labeling: one integer per cover pair (u, v)."""
+        table = {tuple(k): _integer(v) for k, v in table.items()}
         missing = [c for c in poset.covers if c not in table]
         if missing:
             raise MissingLabelError(f"no label for covers {missing}")
-        return cls(poset, edge_table={tuple(k): int(v) for k, v in table.items()})
+        if len(table) != len(poset.covers):
+            raise InvalidInputError(f"labels for non-covers {table.keys() - set(poset.covers)}")
+        return cls(poset, edge_table=table)
 
     @classmethod
     def from_chain_table(cls, poset: Poset, table,
                          budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> "CELabeling":
         """Chain-edge labeling: one integer per rooted cover (root, u, v)."""
         ensure_budget(poset, budget)
-        norm = {(tuple(r), u, v): int(lbl) for (r, u, v), lbl in table.items()}
-        lab = cls(poset, chain_table=norm)
-        for r, u, v in rooted_cover_relations(poset, budget):
-            if (r, u, v) not in norm:
-                raise MissingLabelError(f"no label for rooted cover ({r!r}, {u!r}, {v!r})")
+        lab = cls(poset, chain_table={k: _integer(v) for k, v in table.items()})
+        lab._by_node(root_trie(poset, None))  # every rooted cover has a label
         return lab
 
     def label(self, root, u, v) -> int:
@@ -76,26 +86,33 @@ class CELabeling:
                 return self._edges[(u, v)]
             except KeyError:
                 raise MissingLabelError(f"no label for cover ({u!r}, {v!r})") from None
-        try:
-            return self._chains[(tuple(root), u, v)]
-        except KeyError:
-            raise MissingLabelError(
-                f"no label for rooted cover ({root!r}, {u!r}, {v!r})"
-            ) from None
+        lbl = self._lab_in[root_trie(self.poset, None).resolve(root, (u, v))[1]]
+        if lbl is None:
+            raise MissingLabelError(f"no label for rooted cover ({root!r}, {u!r}, {v!r})")
+        return lbl
+
+    def _by_node(self, trie) -> list:
+        """The label of the cover into each node of the trie (None at node
+        0); raises MissingLabelError when a rooted cover has none."""
+        if self._edges is None:
+            lab_in = self._lab_in
+        else:
+            edges, elem, parent = self._edges, trie.elem, trie.parent
+            lab_in = [None] + [edges.get((elem[parent[v]], elem[v])) for v in range(1, len(trie))]
+        if None in lab_in[1:]:
+            v = lab_in.index(None, 1)
+            raise MissingLabelError(f"no label for the rooted cover into {trie.chain(v)!r}")
+        return lab_in
 
     def is_root_independent(self) -> bool:
         """True iff the label of every cover is constant over its roots."""
         if self._edges is not None:
             return True
-        if self._root_independent is None:
-            seen = {}
-            flag = True
-            for (r, u, v), lbl in self._chains.items():
-                if seen.setdefault((u, v), lbl) != lbl:
-                    flag = False
-                    break
-            self._root_independent = flag
-        return self._root_independent
+        trie = root_trie(self.poset, None)
+        elem, parent = trie.elem, trie.parent
+        seen = {}
+        return all(seen.setdefault((elem[parent[v]], elem[v]), lbl) == lbl
+                   for v, lbl in enumerate(self._lab_in) if v)
 
     def relabeled(self, mapping) -> "CELabeling":
         """Apply an integer-to-integer map to every label."""
@@ -103,9 +120,15 @@ class CELabeling:
             return CELabeling(self.poset, edge_table={
                 k: mapping[v] for k, v in self._edges.items()
             })
-        return CELabeling(self.poset, chain_table={
-            k: mapping[v] for k, v in self._chains.items()
-        })
+        return CELabeling._from_nodes(
+            self.poset, [None if v is None else mapping[v] for v in self._lab_in])
+
+
+def _integer(label) -> int:
+    try:
+        return int(label)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"label {label!r} is not an integer") from None
 
 
 def label_sequence(lab: CELabeling, root, chain) -> tuple:
@@ -151,15 +174,11 @@ class _Verifier:
         self.lab = lab
         self.poset = poset
         self.trie = trie = root_trie(poset, budget)
-        elem, parent = trie.elem, trie.parent
-        rooted = lab._chains is not None
-        lab_in, path = [None], [()]
+        self.lab_in = lab_in = lab._by_node(trie)
+        parent = trie.parent
+        path = [()]
         for v in range(1, len(trie)):
-            p = parent[v]
-            lbl = lab.label(trie.chain(p) if rooted else None, elem[p], elem[v])
-            lab_in.append(lbl)
-            path.append(path[p] + (lbl,))
-        self.lab_in = lab_in
+            path.append(path[parent[v]] + (lab_in[v],))
         self.path = path
 
     @cached_property
@@ -208,26 +227,13 @@ class _Verifier:
         dg = self.trie.depth[g]
         return tuple(self.trie.chain(d)[dg:] for d in ds)
 
-    def node(self, root, chain) -> tuple:
-        """Nodes (g, v) of a root of chain[0] and of it extended by chain[1:]."""
-        trie = self.trie
-        g = trie.find(root)
-        if g is None or trie.elem[g] != chain[0]:
-            raise InvalidRootError(f"{root!r} is not a root of {chain[0]!r}")
-        v = g
-        for e in chain[1:]:
-            v = trie.child(v, e)
-            if v is None:
-                raise InvalidIntervalError(f"{chain!r} is not a saturated chain")
-        return g, v
-
     def seq(self, root, chain):
-        g, v = self.node(root, chain)
-        return self.path[v][self.trie.depth[g]:]
+        nodes = self.trie.resolve(root, chain)
+        return self.path[nodes[-1]][self.trie.depth[nodes[0]]:]
 
     def chain_is_ascending(self, root, chain) -> bool:
-        g, v = self.node(root, chain)
-        return self.last_descent[v] < self.trie.depth[g]
+        nodes = self.trie.resolve(root, chain)
+        return self.last_descent[nodes[-1]] < self.trie.depth[nodes[0]]
 
 
 def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:
@@ -449,24 +455,16 @@ def lex_order_max_chains(lab: CELabeling, poset: Poset, tie_break: bool = False)
 
 def labeling_to_json(lab: CELabeling) -> dict:
     if lab._edges is not None:
-        labels = [
-            {"from": u, "to": v, "label": lbl}
-            for (u, v), lbl in sorted(
-                lab._edges.items(),
-                key=lambda kv: (lab.poset.index[kv[0][0]], lab.poset.index[kv[0][1]]),
-            )
-        ]
+        labels = [{"from": u, "to": v, "label": lab._edges[(u, v)]}
+                  for u, v in lab.poset.covers if (u, v) in lab._edges]
         return {"mode": "edge", "labels": labels}
+    # preorder node order is the lexicographic order of the roots
+    trie = root_trie(lab.poset, None)
+    elem = trie.elem
     labels = [
-        {"root": list(r), "from": u, "to": v, "label": lbl}
-        for (r, u, v), lbl in sorted(
-            lab._chains.items(),
-            key=lambda kv: (
-                [lab.poset.index[e] for e in kv[0][0]],
-                lab.poset.index[kv[0][1]],
-                lab.poset.index[kv[0][2]],
-            ),
-        )
+        {"root": list(trie.chain(g)), "from": elem[g], "to": elem[c], "label": lab._lab_in[c]}
+        for g in range(len(trie)) for c in trie.children(g)
+        if lab._lab_in[c] is not None
     ]
     return {"mode": "chain-edge", "labels": labels}
 

@@ -10,16 +10,29 @@ sequence is a proper prefix of another.
 
 from __future__ import annotations
 
-from .chains import DEFAULT_ROOTED_COVER_BUDGET, ensure_budget, maximal_chains, roots
+from .chains import DEFAULT_ROOTED_COVER_BUDGET, root_trie
+from .errors import InvalidInputError, InvalidRootError
 from .labeling import CELabeling
 from .poset import Poset
 
 
-def _check_order(poset: Poset, order):
-    order = tuple(tuple(m) for m in order)
-    if sorted(order) != sorted(maximal_chains(poset)):
-        raise ValueError("order must be a permutation of the maximal chains")
-    return order
+def _positions(poset: Poset, order, budget):
+    """The RootTrie, the first and last 1-based position in `order` of a
+    chain through each node, and the children of each inner node by first
+    position; InvalidInputError unless order permutes the maximal chains."""
+    trie = root_trie(poset, budget)
+    try:
+        leaves = [trie.resolve(m, (poset.top,))[0] for m in order]
+    except InvalidRootError:
+        leaves = ()
+    if sorted(leaves) != trie.nodes_of[poset.top]:
+        raise InvalidInputError("order must be a permutation of the maximal chains")
+    at = {d: pos for pos, d in enumerate(leaves, start=1)}
+    spans = [[at[d] for d in trie.within(v, poset.top)] for v in range(len(trie))]
+    first, last = [min(s) for s in spans], [max(s) for s in spans]
+    kids = {g: sorted(trie.children(g), key=first.__getitem__)
+            for g in range(len(trie)) if trie.end[g] > g + 1}
+    return trie, first, last, kids
 
 
 def relabel_from_order(poset: Poset, order,
@@ -29,80 +42,34 @@ def relabel_from_order(poset: Poset, order,
     Accepts any permutation of the maximal chains; whether the result is a
     CC-labeling is a property of the order, not a precondition.
     """
-    ensure_budget(poset, budget)
-    order = _check_order(poset, order)
-
-    # group chain positions by proper prefix; prefix = root ending at x,
-    # the element after the prefix is the atom of [x, 1hat] being labeled
-    groups = {}
-    for pos, m in enumerate(order, start=1):
-        for cut in range(1, len(m)):
-            groups.setdefault(m[:cut], []).append((pos, m[cut]))
-
-    table = {}
-    for prefix, occurrences in groups.items():
-        x = prefix[-1]
-        first, last = {}, {}
-        atoms_in_order = []
-        for pos, atom in occurrences:  # positions ascend within each group
-            if atom not in first:
-                first[atom] = pos
-                atoms_in_order.append(atom)
-            last[atom] = pos
-        labels = {}
-        for j, atom in enumerate(atoms_in_order):
-            i_j = first[atom]
-            inherit = None
-            for h in atoms_in_order[:j]:
-                if last[h] > i_j:
-                    inherit = h
-                    break
-            labels[atom] = i_j if inherit is None else labels[inherit]
-        for atom, lbl in labels.items():
-            table[(prefix, x, atom)] = lbl
-    return CELabeling.from_chain_table(poset, table, budget)
+    trie, first, last, kids = _positions(poset, order, budget)
+    lab_in = [None] * len(trie)
+    for cs in kids.values():
+        for j, c in enumerate(cs):
+            inherit = next((h for h in cs[:j] if last[h] > first[c]), None)
+            lab_in[c] = first[c] if inherit is None else lab_in[inherit]
+    return CELabeling._from_nodes(poset, lab_in)
 
 
 def verify_label_bound(poset: Poset, order, lab: CELabeling,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> bool:
     """Every rooted cover label is at most the position of the first chain
     containing the root together with both endpoints of the cover."""
-    ensure_budget(poset, budget)
-    order = _check_order(poset, order)
-    first_with = {}
-    for pos, m in enumerate(order, start=1):
-        for cut in range(2, len(m) + 1):
-            first_with.setdefault(m[:cut], pos)
-    for x in poset.elements:
-        for r in roots(poset, x):
-            for y in poset.up[x]:
-                if lab.label(r, x, y) > first_with[r + (y,)]:
-                    return False
-    return True
+    trie, first, _, _ = _positions(poset, order, budget)
+    lab_in = lab._by_node(trie)
+    return all(lab_in[v] <= first[v] for v in range(1, len(trie)))
 
 
 def verify_block_structure(poset: Poset, order, lab: CELabeling,
                            budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> bool:
     """In each rooted interval's first-appearance atom order, equal labels
     form contiguous blocks."""
-    ensure_budget(poset, budget)
-    order = _check_order(poset, order)
-    groups = {}
-    for pos, m in enumerate(order, start=1):
-        for cut in range(1, len(m)):
-            groups.setdefault(m[:cut], []).append((pos, m[cut]))
-    for prefix, occurrences in groups.items():
-        x = prefix[-1]
-        atoms_in_order = []
-        seen = set()
-        for _, atom in occurrences:
-            if atom not in seen:
-                seen.add(atom)
-                atoms_in_order.append(atom)
-        labels = [lab.label(prefix, x, a) for a in atoms_in_order]
+    trie, _, _, kids = _positions(poset, order, budget)
+    lab_in = lab._by_node(trie)
+    for cs in kids.values():
         block_of = {}
-        for i, lbl in enumerate(labels):
-            block_of.setdefault(lbl, []).append(i)
+        for i, c in enumerate(cs):
+            block_of.setdefault(lab_in[c], []).append(i)
         for positions in block_of.values():
             if positions != list(range(positions[0], positions[-1] + 1)):
                 return False

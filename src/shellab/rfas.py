@@ -18,14 +18,15 @@ from functools import cached_property
 from ._record import Record
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
-    ensure_budget,
+    check_interval,
     maximal_chains,
-    rooted_intervals,
-    roots,
+    root_trie,
+    rooted_interval_nodes,
 )
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
+    InvalidIntervalError,
     MissingFirstAtomError,
     NoLcExtensionError,
     NotAnRfasError,
@@ -42,13 +43,16 @@ DEFAULT_LC_BUDGET = 10 ** 6
 class FirstAtomSet:
     """Total map from rooted intervals (r, x, y), x < y, to an atom of [x, y].
 
-    Entries omitted at construction are auto-filled: a unique atom is forced,
-    and with default="leftmost" the canonically least atom is used elsewhere.
+    table maps (g, y) to the child node of g whose element is the designated
+    atom, where g is the RootTrie node of the root r of x.  Entries omitted
+    at construction are auto-filled: a unique atom is forced, and with
+    default="leftmost" the canonically least atom is used elsewhere.
     """
 
     def __init__(self, poset: Poset, table):
         self.poset = poset
-        self.table = dict(table)
+        self.trie = root_trie(poset, None)
+        self.table = table
 
     @classmethod
     def from_entries(cls, poset: Poset, entries=(), default="leftmost",
@@ -56,57 +60,61 @@ class FirstAtomSet:
         """Build a total table from explicit entries plus a fill rule.
 
         `entries` maps (root, x, y) -> atom; a root may be omitted (None) when
-        x has a single root, in which case the entry applies to it.
+        x has a single root, in which case the entry applies to it.  An entry
+        naming no rooted interval raises InvalidRootError or InvalidIntervalError.
         """
-        ensure_budget(poset, budget)
+        trie = root_trie(poset, budget)
         explicit = {}
         for (r, x, y), atom in dict(entries).items():
             if r is None:
-                rs = roots(poset, x)
-                if len(rs) != 1:
+                gs = trie.nodes_of.get(x, ())
+                if len(gs) != 1:
                     raise MissingFirstAtomError(
-                        f"{x!r} has several roots; entry for [{x!r},{y!r}] must name one"
+                        f"{x!r} has {len(gs)} roots; entry for [{x!r},{y!r}] must name one"
                     )
-                explicit[(rs[0], x, y)] = atom
+                g = gs[0]
             else:
-                explicit[(tuple(r), x, y)] = atom
+                g = trie.resolve(r, (x,))[0]
+            explicit[(g, y)] = atom
         table = {}
-        for r, x, y in rooted_intervals(poset, budget):
-            atoms = poset.atoms_of(x, y)
-            if (r, x, y) in explicit:
-                atom = explicit[(r, x, y)]
-                if atom not in atoms:
+        for g, x, y in rooted_interval_nodes(poset, trie):
+            atoms = trie.below(g, poset.downset(y))
+            if (g, y) in explicit:
+                atom = explicit[(g, y)]
+                c = next((c for c in atoms if trie.elem[c] == atom), None)
+                if c is None:
                     raise MissingFirstAtomError(
                         f"{atom!r} is not an atom of [{x!r}, {y!r}]"
                     )
-            elif len(atoms) == 1:
-                atom = atoms[0]
-            elif default == "leftmost":
-                atom = atoms[0]  # atoms_of is canonically sorted
+            elif len(atoms) == 1 or default == "leftmost":
+                c = atoms[0]  # the canonically least atom
             else:
                 raise MissingFirstAtomError(
-                    f"no entry for rooted interval ({r!r}, {x!r}, {y!r})"
+                    f"no entry for rooted interval ({trie.chain(g)!r}, {x!r}, {y!r})"
                 )
-            table[(r, x, y)] = atom
+            table[(g, y)] = c
+        if explicit.keys() - table.keys():
+            g, y = min(explicit.keys() - table.keys(), key=repr)
+            raise InvalidIntervalError(f"{trie.elem[g]!r} is not strictly below {y!r}")
         return cls(poset, table)
 
     def first_atom(self, root, x, y):
-        if x == y:
-            raise ValueError("rooted intervals require x < y")
-        return self.table[(tuple(root), x, y)]
+        key = (self.trie.resolve(root, (x,))[0], y)
+        if key not in self.table:
+            raise InvalidIntervalError(f"rooted intervals require {x!r} < {y!r}")
+        return self.trie.elem[self.table[key]]
 
 
 def first_atom_chain(omega: FirstAtomSet, root, x, y) -> tuple:
     """The chain from x to y that follows designated first atoms upward."""
-    root = tuple(root)
-    chain = (x,)
-    z = x
-    while z != y:
-        a = omega.first_atom(root, z, y)
-        chain = chain + (a,)
-        root = root + (a,)
-        z = a
-    return chain
+    check_interval(omega.poset, x, y)
+    trie, table = omega.trie, omega.table
+    g = trie.resolve(root, (x,))[0]
+    chain = [x]
+    while chain[-1] != y:
+        g = table[(g, y)]
+        chain.append(trie.elem[g])
+    return tuple(chain)
 
 
 def pseudo_descents(omega: FirstAtomSet, chain, root=None):
@@ -117,16 +125,9 @@ def pseudo_descents(omega: FirstAtomSet, chain, root=None):
         if chain[0] != omega.poset.bottom:
             raise ValueError("chain does not start at bottom; pass its root")
         root = (chain[0],)
-    root = tuple(root)
-    if root[-1] != chain[0]:
-        raise ValueError("root must end at the chain's first element")
-    out = []
-    for i in range(len(chain) - 2):
-        x, y, z = chain[i], chain[i + 1], chain[i + 2]
-        prefix = root + chain[1: i + 1]  # root of x along this chain
-        if y != omega.first_atom(prefix, x, z):
-            out.append((x, y, z))
-    return out
+    nodes = omega.trie.resolve(root, chain)
+    return [(chain[i], chain[i + 1], chain[i + 2]) for i in range(len(chain) - 2)
+            if omega.table[(nodes[i], chain[i + 2])] != nodes[i + 1]]
 
 
 class RfasViolation(Record):
@@ -162,50 +163,55 @@ def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
     atom's root, which is never a valid root, so only one-step witnesses
     survive (kept for auditability).
     """
+    trie = root_trie(poset, budget)
+    elem, table = trie.elem, omega.table
     violations = []
-    for r, x, y in rooted_intervals(poset, budget):
-        atoms = poset.atoms_of(x, y)
-        first = omega.first_atom(r, x, y)
-        for a in atoms:
+    for g, x, y in rooted_interval_nodes(poset, trie):
+        atoms = trie.below(g, poset.downset(y))
+        first = table[(g, y)]
+        for c in atoms:
+            a = elem[c]
             if a == y:
                 continue
-            b = omega.first_atom(r + (a,), a, y)
-            heads_xy = first == a
-            heads_xb = omega.first_atom(r, x, b) == a
+            b = elem[table[(c, y)]]
+            heads_xy = first == c
+            heads_xb = table[(g, b)] == c
             if heads_xy and not heads_xb:
                 violations.append(RfasViolation(
-                    "i", "forward", r, x, y, a,
+                    "i", "forward", trie.chain(g), x, y, a,
                     f"{a!r} heads [{x!r},{y!r}] but not [{x!r},{b!r}]"))
             if heads_xb and not heads_xy:
                 violations.append(RfasViolation(
-                    "i", "backward", r, x, y, a,
+                    "i", "backward", trie.chain(g), x, y, a,
                     f"{a!r} heads [{x!r},{b!r}] but not [{x!r},{y!r}]"))
         if len(atoms) > 1:
-            for a in atoms:
-                if a == first or a == y:
+            for c in atoms:
+                a = elem[c]
+                if c == first or a == y:
                     continue
-                b = omega.first_atom(r + (a,), a, y)
-                if not _condition_ii_walk(poset, omega, r, x, y, first, b, literal_ii):
+                b = elem[table[(c, y)]]
+                if not _condition_ii_walk(trie, table, g, y, first, b, literal_ii):
                     violations.append(RfasViolation(
-                        "ii", None, r, x, y, a,
-                        f"no first-atom walk from {a!r} back to {first!r}"))
+                        "ii", None, trie.chain(g), x, y, a,
+                        f"no first-atom walk from {a!r} back to {elem[first]!r}"))
     return RfasReport(not violations, violations)
 
 
-def _condition_ii_walk(poset, omega, r, x, y, first, b, literal_ii) -> bool:
-    """Follow the forced witness recurrence backwards from the cap b."""
+def _condition_ii_walk(trie, table, g, y, first, b, literal_ii) -> bool:
+    """Follow the forced witness recurrence backwards from the cap b; nodes
+    g (the root of x) and first (its designated child) fix the interval."""
     seen = set()
-    a_cur = omega.first_atom(r, x, b)
+    a_cur = table[(g, b)]
     while a_cur != first:
         if a_cur in seen:
             return False
         seen.add(a_cur)
         if literal_ii:
             return False  # the literal root is never valid beyond one step
-        if a_cur == y:
+        if trie.elem[a_cur] == y:
             return False
-        b_cur = omega.first_atom(r + (a_cur,), a_cur, y)
-        a_cur = omega.first_atom(r, x, b_cur)
+        b_cur = trie.elem[table[(a_cur, y)]]
+        a_cur = table[(g, b_cur)]
     return True
 
 
@@ -266,19 +272,22 @@ class ChainOrderDag(Record):
 
 
 def _topo_indices(n, succ):
+    """The topological order that always takes the least ready index."""
+    import heapq  # here, so that importing the CLI does not load it
+
     indeg = [0] * n
     for i in range(n):
         for j in succ[i]:
             indeg[j] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
+    ready = [i for i in range(n) if indeg[i] == 0]  # sorted, so a heap
     order = []
     while ready:
-        i = ready.pop()
+        i = heapq.heappop(ready)
         order.append(i)
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
+                heapq.heappush(ready, j)
     if len(order) != n:
         # the chain order of a valid RFAS is acyclic
         raise NotAnRfasError(
@@ -293,17 +302,24 @@ def chain_order_dag(poset: Poset, omega: FirstAtomSet,
     report = check_rfas(poset, omega, budget=budget)
     if not report.ok:
         raise NotAnRfasError(f"{len(report.violations)} violations; not an RFAS")
-    chains = maximal_chains(poset)
-    pos = {c: i for i, c in enumerate(chains)}
+    trie, table = omega.trie, omega.table
+    elem, parent = trie.elem, trie.parent
+    pos = {d: j for j, d in enumerate(trie.nodes_of[poset.top])}
     edges = set()
-    for j, m2 in enumerate(chains):
-        for (x, y, z) in pseudo_descents(omega, m2):
-            ix = m2.index(x)
-            prefix = m2[: ix + 1]
-            replacement = first_atom_chain(omega, prefix, x, z)
-            m = m2[:ix] + replacement + m2[m2.index(z) + 1:]
-            edges.add((pos[m], j))
-    return ChainOrderDag(chains, frozenset(edges))
+    for k in range(len(trie)):
+        if trie.depth[k] < 2:
+            continue
+        # chains through node k (root r + (x, y, z)) have a pseudo descent
+        # at y unless y heads [x, z]; their replacements pass node f, the end
+        # of the first atom chain, whose subtree is numbered like that of k
+        z, f = elem[k], table[(parent[parent[k]], elem[k])]
+        if f == parent[k]:
+            continue
+        while elem[f] != z:
+            f = table[(f, z)]
+        for d in trie.within(k, poset.top):
+            edges.add((pos[f + d - k], pos[d]))
+    return ChainOrderDag(maximal_chains(poset), frozenset(edges))
 
 
 def linear_extensions(dag: ChainOrderDag):
@@ -329,9 +345,13 @@ def linear_extensions(dag: ChainOrderDag):
 
 def shelling_from_rfas(poset: Poset, omega: FirstAtomSet,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET):
-    """First linear extension of the chain order, a shelling order."""
+    """First linear extension of the chain order, a shelling order: always
+    the least-index chain whose predecessors are placed, found without search."""
     dag = chain_order_dag(poset, omega, budget)
-    return next(linear_extensions(dag))
+    succ = [[] for _ in dag.chains]
+    for i, j in dag.edges:
+        succ[i].append(j)
+    return tuple(dag.chains[i] for i in _topo_indices(len(succ), succ))
 
 
 def check_lc(poset: Poset, omega: FirstAtomSet,
@@ -350,23 +370,17 @@ def check_lc(poset: Poset, omega: FirstAtomSet,
     dag = chain_order_dag(poset, omega, budget)
     chains = dag.chains
     n = len(chains)
+    trie = omega.trie
+    parent, depth = trie.parent, trie.depth
+    leaves = trie.nodes_of[poset.top]
 
-    # pattern = prefix of length >= 3: r + (x, y, z); breaker key = (r+(x,), y)
-    patterns = {}
-    chain_patterns = [[] for _ in range(n)]
-    chain_prefixes = [[] for _ in range(n)]
-    for idx, m in enumerate(chains):
-        for cut in range(3, len(m) + 1):
-            p = m[:cut]
-            patterns[p] = patterns.get(p, 0) + 1
-            chain_patterns[idx].append(p)
-        for cut in range(1, len(m)):
-            chain_prefixes[idx].append((m[:cut], m[cut]))
-
-    total = patterns
-    placed_count = {p: 0 for p in total}
-    open_by_q = {}
-    open_by_qy = {}
+    # a pattern is a node p at depth >= 2 (the root r + (x, y, z)), open
+    # while some but not all chains through it are placed; it opens its
+    # grandparent (r + (x,)) except towards its parent (r + (x, y))
+    total = [len(trie.within(v, poset.top)) for v in range(len(trie))]
+    placed_count = [0] * len(trie)
+    open_by_q = [0] * len(trie)
+    open_by_qy = [0] * len(trie)
 
     preds = dag.preds
     nodes = 0
@@ -374,22 +388,25 @@ def check_lc(poset: Poset, omega: FirstAtomSet,
     placed_set = set()
 
     def violates(idx):
-        for q, y in chain_prefixes[idx]:
-            if open_by_q.get(q, 0) - open_by_qy.get((q, y), 0) > 0:
+        v = leaves[idx]
+        while v:
+            if open_by_q[parent[v]] > open_by_qy[v]:
                 return True
+            v = parent[v]
         return False
 
     def apply(idx, delta):
-        for p in chain_patterns[idx]:
-            q = p[:-2]
-            y = p[-2]
+        p = leaves[idx]
+        while depth[p] >= 2:
+            h = parent[p]
             was_open = 0 < placed_count[p] < total[p]
             placed_count[p] += delta
             now_open = 0 < placed_count[p] < total[p]
             if was_open != now_open:
                 step = 1 if now_open else -1
-                open_by_q[q] = open_by_q.get(q, 0) + step
-                open_by_qy[(q, y)] = open_by_qy.get((q, y), 0) + step
+                open_by_q[parent[h]] += step
+                open_by_qy[h] += step
+            p = h
 
     def rec():
         nonlocal nodes
@@ -428,8 +445,7 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
     trie, path = ver.trie, ver.path
     for g, x, y, ds in ver.intervals():
         best = min(path[d] for d in ds)
-        c = trie.child(g, omega.first_atom(trie.chain(g), x, y))
-        if c is None or not any(path[d] == best for d in trie.within(c, y)):
+        if not any(path[d] == best for d in trie.within(omega.table[(g, y)], y)):
             return False
     return True
 
@@ -466,17 +482,16 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     trie, descent = ver.trie, ver.last_descent
     table = {}
     for g, x, y, ds in ver.intervals():
-        r = trie.chain(g)
         ascending = [d for d in ds if descent[d] < trie.depth[g]]
         if len(ascending) != 1:
             # happens only when the source labeling has tied label sequences
             # whose removal by the rebuild breaks unique ascendance
             raise NotTclError(
                 f"rebuilt labeling has {len(ascending)} ascending chains in "
-                f"({r!r}, {x!r}, {y!r}); the source labeling's chain order "
+                f"({trie.chain(g)!r}, {x!r}, {y!r}); the source labeling's chain order "
                 "has ties that the rebuild cannot preserve"
             )
-        table[(r, x, y)] = trie.atom(g, ascending[0])
+        table[(g, y)] = next(c for c in trie.children(g) if ascending[0] < trie.end[c])
     return FirstAtomSet(poset, table)
 
 
@@ -487,28 +502,24 @@ def restrict_first_atom_set(poset: Poset, omega: FirstAtomSet, root, x, y):
     member_set = set(members)
     covers = [(a, b) for a, b in poset.covers if a in member_set and b in member_set]
     sub = build_poset(members, covers)
-    root = tuple(root)
-    table = {}
-    for (r2, u, v) in rooted_intervals(sub):
-        table[(r2, u, v)] = omega.first_atom(root + r2[1:], u, v)
-    return sub, FirstAtomSet(sub, table)
+    trie, sub_trie = omega.trie, root_trie(sub)
+    big = trie.resolve(root, (x,))  # big[s]: sub-root s grafted onto root
+    for s in range(1, len(sub_trie)):
+        big.append(trie.child(big[sub_trie.parent[s]], sub_trie.elem[s]))
+    return sub, FirstAtomSet(sub, {
+        (s, v): sub_trie.child(s, trie.elem[omega.table[(big[s], v)]])
+        for s, _, v in rooted_interval_nodes(sub, sub_trie)})
 
 
 # -- serialization -----------------------------------------------------
 
 def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
-    poset = omega.poset
+    # rooted intervals come in (x, root, y) order, as the entries are listed
+    poset, trie = omega.poset, omega.trie
     entries = [
-        {"root": list(r), "x": x, "y": y, "atom": atom}
-        for (r, x, y), atom in sorted(
-            omega.table.items(),
-            key=lambda kv: (
-                poset.index[kv[0][1]],
-                [poset.index[e] for e in kv[0][0]],
-                poset.index[kv[0][2]],
-            ),
-        )
-        if len(poset.atoms_of(x, y)) > 1
+        {"root": list(trie.chain(g)), "x": x, "y": y, "atom": trie.elem[omega.table[(g, y)]]}
+        for g, x, y in rooted_interval_nodes(poset, trie)
+        if len(trie.below(g, poset.downset(y))) > 1
     ]
     return {"first_atoms": entries, "default": "leftmost"}
 

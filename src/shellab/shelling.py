@@ -295,7 +295,7 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
             )
         g = candidates[0]
     else:
-        g, _ = ver.node(root, (x,))
+        g, = trie.resolve(root, (x,))
     dg = trie.depth[g]
     out = []
     for d in trie.within(g, y):
@@ -318,8 +318,11 @@ def complex_from_json(data: dict) -> OrderComplex:
     if not isinstance(listed, (list, tuple)) or not all(
             isinstance(f, (list, tuple)) for f in listed):
         raise InvalidInputError('a complex needs an object with a "facets" list of vertex lists')
-    facets = tuple(frozenset(f) for f in listed)
-    vertices = tuple(sorted(set().union(*facets))) if facets else ()
+    try:
+        facets = tuple(frozenset(f) for f in listed)
+        vertices = tuple(sorted(set().union(*facets))) if facets else ()
+    except TypeError as exc:  # an unhashable vertex, or strings mixed with numbers
+        raise InvalidInputError(f"unusable facet vertices: {exc}") from None
     return OrderComplex(vertices, facets)
 
 

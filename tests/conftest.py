@@ -11,7 +11,15 @@ from itertools import permutations
 
 import pytest
 
-from shellab import LabelingReport, build_poset, corpus, label_sequence
+from shellab import (
+    CELabeling,
+    ChainOrderDag,
+    LabelingReport,
+    build_poset,
+    corpus,
+    label_sequence,
+)
+from shellab.rfas import RfasReport, RfasViolation
 
 
 # -- independent oracles -------------------------------------------------
@@ -240,6 +248,105 @@ def _self_consistency_witness(lab, poset, per_root):
                             return {"root": r, "x": x, "y": y, "y2": yp,
                                     "atom_first": a, "atom_other": b}
     return None
+
+
+def _rooted_intervals_literal(poset):
+    """(r, x, y) with x < y in canonical order: x, then r, then y."""
+    key = poset.index.__getitem__
+    for x in poset.elements:
+        above = sorted((y for y in bfs_reachable(poset.covers, x) if y != x), key=key)
+        for r in _canonical_paths(poset, poset.bottom, x):
+            for y in above:
+                yield r, x, y
+
+
+def _relabel_literal(poset, order):
+    """relabel_from_order on tuple roots: chain positions grouped by every
+    proper prefix of each chain."""
+    order = tuple(tuple(m) for m in order)
+    if sorted(order) != sorted(_canonical_paths(poset, poset.bottom, poset.top)):
+        raise ValueError("order must be a permutation of the maximal chains")
+    groups = {}
+    for pos, m in enumerate(order, start=1):
+        for cut in range(1, len(m)):
+            groups.setdefault(m[:cut], []).append((pos, m[cut]))
+    table = {}
+    for prefix, occurrences in groups.items():
+        first, last, atoms_in_order = {}, {}, []
+        for pos, atom in occurrences:  # positions ascend within each group
+            if atom not in first:
+                first[atom] = pos
+                atoms_in_order.append(atom)
+            last[atom] = pos
+        labels = {}
+        for j, atom in enumerate(atoms_in_order):
+            inherit = next((h for h in atoms_in_order[:j] if last[h] > first[atom]), None)
+            labels[atom] = first[atom] if inherit is None else labels[inherit]
+        for atom, lbl in labels.items():
+            table[(prefix, prefix[-1], atom)] = lbl
+    return CELabeling(poset, chain_table=table)
+
+
+def _check_rfas_literal(poset, omega, literal_ii=False):
+    """check_rfas with every first atom looked up by its tuple root."""
+    fa = omega.first_atom
+    violations = []
+    for r, x, y in _rooted_intervals_literal(poset):
+        atoms = poset.atoms_of(x, y)
+        first = fa(r, x, y)
+        for a in atoms:
+            if a == y:
+                continue
+            b = fa(r + (a,), a, y)
+            heads_xy, heads_xb = first == a, fa(r, x, b) == a
+            if heads_xy and not heads_xb:
+                violations.append(RfasViolation(
+                    "i", "forward", r, x, y, a,
+                    f"{a!r} heads [{x!r},{y!r}] but not [{x!r},{b!r}]"))
+            if heads_xb and not heads_xy:
+                violations.append(RfasViolation(
+                    "i", "backward", r, x, y, a,
+                    f"{a!r} heads [{x!r},{b!r}] but not [{x!r},{y!r}]"))
+        if len(atoms) > 1:
+            for a in atoms:
+                if a == first or a == y:
+                    continue
+                # the forced witness recurrence, backwards from the cap
+                seen, a_cur, ok = set(), fa(r, x, fa(r + (a,), a, y)), True
+                while a_cur != first:
+                    if a_cur in seen or literal_ii or a_cur == y:
+                        ok = False
+                        break
+                    seen.add(a_cur)
+                    a_cur = fa(r, x, fa(r + (a_cur,), a_cur, y))
+                if not ok:
+                    violations.append(RfasViolation(
+                        "ii", None, r, x, y, a,
+                        f"no first-atom walk from {a!r} back to {first!r}"))
+    return RfasReport(not violations, violations)
+
+
+def _first_atom_chain_literal(omega, root, x, y):
+    chain, root = (x,), tuple(root)
+    while chain[-1] != y:
+        a = omega.first_atom(root, chain[-1], y)
+        chain, root = chain + (a,), root + (a,)
+    return chain
+
+
+def _chain_order_dag_literal(poset, omega):
+    """chain_order_dag on tuple chains: each pseudo descent of a chain is
+    replaced by the first atom chain it skips, for a valid table."""
+    chains = tuple(_canonical_paths(poset, poset.bottom, poset.top))
+    pos = {c: i for i, c in enumerate(chains)}
+    edges = set()
+    for j, m2 in enumerate(chains):
+        for i in range(len(m2) - 2):
+            x, y, z = m2[i], m2[i + 1], m2[i + 2]
+            if y != omega.first_atom(m2[:i + 1], x, z):
+                m = m2[:i] + _first_atom_chain_literal(omega, m2[:i + 1], x, z) + m2[i + 3:]
+                edges.add((pos[m], j))
+    return ChainOrderDag(chains, frozenset(edges))
 
 
 # -- fixtures ------------------------------------------------------------

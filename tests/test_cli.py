@@ -128,6 +128,15 @@ def test_malformed_poset_file_is_an_error(tmp_path, capsys, data, message):
     assert err.startswith("error: ") and message in err
 
 
+# fig1's complete labelings "middle" (CC) and "left" (EL) plus an entry
+# whose root is no chain, or which labels no cover
+_MIDDLE_PLUS_NON_ROOT = json.dumps({"mode": "chain-edge", "labels": shellab.labeling_to_json(
+    load_named("fig1").labeling("middle"))["labels"] + [
+    {"root": ["0hat", "zz"], "from": "zz", "to": "c", "label": 1}]})
+_LEFT_PLUS_NON_COVER = json.dumps({"labels": shellab.labeling_to_json(
+    load_named("fig1").labeling("left"))["labels"] + [{"from": "0hat", "to": "c", "label": 1}]})
+
+
 @pytest.mark.parametrize("argv, content, message", [
     (["check", "--kind", "el", "corpus:fig1", "{path}"], '{"mode": "edge"}', '"labels"'),
     (["rfas-check", "corpus:fig1", "{path}"], "not json", "not JSON"),
@@ -135,8 +144,30 @@ def test_malformed_poset_file_is_an_error(tmp_path, capsys, data, message):
     (["rfas-check", "corpus:fig1", "{path}"], "[1, 2]", "not a JSON object"),
     (["shelling-verify", "corpus:fig1", "--order-file", "{path}"], "0hat a 1hat\n",
      "permutation of the facets"),
+    (["rfas-check", "corpus:fig1", "{path}"],
+     '{"first_atoms": [{"root": ["0hat", "zz"], "x": "a", "y": "1hat", "atom": "c"}]}',
+     "is not a root of 'a'"),
+    (["rfas-check", "corpus:fig1", "{path}"],
+     '{"first_atoms": [{"root": ["0hat"], "x": "a", "y": "1hat", "atom": "c"}]}',
+     "is not a root of 'a'"),
+    (["check", "--kind", "cc", "corpus:fig1", "{path}"], _MIDDLE_PLUS_NON_ROOT,
+     "is not a root of 'zz'"),
+    (["check", "--kind", "el", "corpus:fig1", "{path}"], _LEFT_PLUS_NON_COVER,
+     "labels for non-covers {('0hat', 'c')}"),
+    (["check", "--kind", "el", "corpus:fig1", "{path}"],
+     '{"labels": [{"from": "0hat", "to": "a", "label": "x"}]}', "'x' is not an integer"),
+    (["check", "--kind", "cc", "corpus:fig1", "{path}"],
+     '{"mode": "chain-edge", "labels": [{"root": ["0hat"], "from": "0hat", "to": "a", '
+     '"label": "x"}]}', "'x' is not an integer"),
+    (["shelling-verify", "{path}", "--order-file", "{path}"], '{"facets": [[1, "a"], [2]]}',
+     "unusable facet vertices"),
+    (["relabel", "corpus:fig1", "--order-file", "{path}"], "",
+     "permutation of the maximal chains"),
 ], ids=["labeling-without-labels", "first-atoms-not-json", "missing-file",
-        "first-atoms-not-an-object", "order-not-a-permutation"])
+        "first-atoms-not-an-object", "order-not-a-permutation", "first-atom-root-not-a-chain",
+        "first-atom-root-of-another-element", "chain-edge-root-not-a-chain",
+        "edge-label-for-a-non-cover", "edge-label-not-an-integer", "chain-edge-label-not-an-integer",
+        "facets-mixing-strings-and-numbers", "chain-order-not-a-permutation"])
 def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"
     if content is not None:

@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from shellab import (
     CELabeling,
+    FirstAtomSet,
+    NotTclError,
     brute_force_shellable,
+    chain_order_dag,
+    check_rfas,
     classify,
     dual,
     is_graded,
@@ -15,17 +19,25 @@ from shellab import (
     maximal_chains,
     order_complex,
     random_bounded_poset,
+    linear_extensions,
     relabel_from_order,
     restriction_map,
+    rfas_from_tcl,
     rooted_cover_count,
+    shelling_from_rfas,
     verify_block_structure,
     verify_label_bound,
 )
+from shellab import corpus
 from shellab.chains import roots
 from shellab.labeling import KINDS
 from conftest import (
+    _chain_order_dag_literal,
+    _check_rfas_literal,
     _classify_literal,
     _is_shelling_literal,
+    _relabel_literal,
+    _rooted_intervals_literal,
     _shelling_violation_literal,
     bfs_reachable,
     brute_paths,
@@ -172,3 +184,43 @@ def test_self_consistency_witness_matches_literal_oracle(seed, n):
     rep = classify(lab, p, kinds={"tcl", "self-consistent"})
     assert rep.is_tcl and not rep.is_self_consistent
     assert rep == _classify_literal(lab, p, {"tcl", "self-consistent"})
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_node_keyed_tables_match_literal_oracles(p, seed):
+    rng = random.Random(seed)
+    chains = list(maximal_chains(p))
+    rng.shuffle(chains)
+    lab = relabel_from_order(p, chains)
+    literal = _relabel_literal(p, chains)
+    assert all(lab.label(*k) == literal.label(*k) for k in brute_rooted_covers(p))
+    # a random table is often not an RFAS, so it exercises the violations;
+    # a table read off a TCL-labeling is one, so it exercises the chain order
+    tables = [FirstAtomSet.from_entries(p, {
+        (r, x, y): rng.choice(p.atoms_of(x, y)) for r, x, y in _rooted_intervals_literal(p)})]
+    if classify(lab, p, kinds={"tcl"}).is_tcl:
+        try:
+            tables.append(rfas_from_tcl(p, lab))
+        except NotTclError:  # ties the rebuild cannot preserve
+            pass
+    for omega in tables:
+        report = check_rfas(p, omega)
+        assert report == _check_rfas_literal(p, omega)
+        assert check_rfas(p, omega, literal_ii=True) == _check_rfas_literal(p, omega, True)
+        if report.ok:
+            dag = chain_order_dag(p, omega)
+            assert dag == _chain_order_dag_literal(p, omega)
+            assert shelling_from_rfas(p, omega) == next(linear_extensions(dag))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_node_keyed_rfas_match_literal_oracles_on_corpus(name):
+    # the corpus tables hold condition (ii) walks of more than one step,
+    # which random posets of up to 9 elements do not reach
+    p = corpus.load_named(name).poset
+    for omega in corpus.load_named(name).first_atom_sets.values():
+        for literal_ii in (False, True):
+            assert check_rfas(p, omega, literal_ii) == _check_rfas_literal(p, omega, literal_ii)
+        if check_rfas(p, omega).ok:
+            assert chain_order_dag(p, omega) == _chain_order_dag_literal(p, omega)

@@ -8,6 +8,7 @@ from shellab import (
     lex_order_max_chains,
     maximal_chains,
     relabel_from_order,
+    rooted_cover_relations,
     verify_block_structure,
     verify_label_bound,
 )
@@ -94,8 +95,8 @@ def test_label_bound_negative_control(two_chain_poset):
     corrupted = CELabeling(
         p,
         chain_table={
-            key: (99 if key == (("0hat",), "0hat", "a") else val)
-            for key, val in lab._chains.items()
+            key: (99 if key == (("0hat",), "0hat", "a") else lab.label(*key))
+            for key in rooted_cover_relations(p)
         },
     )
     assert not verify_label_bound(p, order, corrupted)
@@ -128,8 +129,8 @@ def test_block_structure_negative_control():
     broken_q = CELabeling(
         q,
         chain_table={
-            key: (bottom_labels[key[2]] if key[1] == "0hat" else val)
-            for key, val in lab_q._chains.items()
+            key: (bottom_labels[key[2]] if key[1] == "0hat" else lab_q.label(*key))
+            for key in rooted_cover_relations(q)
         },
     )
     assert not verify_block_structure(q, order_q, broken_q)
