@@ -42,6 +42,17 @@ def entry_error(what, entries, keys, exc) -> InvalidInputError:
     return InvalidInputError(f"unusable {what} entry: {exc}")
 
 
+def unique_table(what, pairs) -> dict:
+    """The dict of (key, value) pairs read from input-file entries; a key
+    given two different values raises InvalidInputError naming it."""
+    table = {}
+    for k, v in pairs:
+        if table.setdefault(k, v) != v:
+            raise InvalidInputError(
+                f"{what} entries give {k!r} two values, {table[k]!r} and {v!r}")
+    return table
+
+
 class InvalidIntervalError(ShellabError, ValueError):
     """An interval endpoint is not an element, or the lower one is not below the upper."""
 

@@ -26,6 +26,7 @@ from .errors import (
     InvalidInputError,
     MissingLabelError,
     entry_error,
+    unique_table,
 )
 from .poset import Poset
 
@@ -478,9 +479,10 @@ def labeling_from_json(poset: Poset, data: dict,
         raise InvalidInputError(f"unknown labeling mode {mode!r}")
     try:
         if mode == "edge":
-            table = {(e["from"], e["to"]): e["label"] for e in labels}
+            table = unique_table("labeling", (((e["from"], e["to"]), e["label"]) for e in labels))
         else:
-            table = {(tuple(e["root"]), e["from"], e["to"]): e["label"] for e in labels}
+            table = unique_table("labeling", (
+                ((tuple(e["root"]), e["from"], e["to"]), e["label"]) for e in labels))
     except (KeyError, TypeError) as exc:
         keys = ("root",) * (mode == "chain-edge") + ("from", "to", "label")
         raise entry_error("labeling", labels, keys, exc) from None

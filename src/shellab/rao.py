@@ -45,43 +45,23 @@ class RaoTree(Record):
         )
 
 
-def _interval_lengths(poset: Poset):
-    """Longest chain length of [u, top] for every u, by reverse topological DP."""
-    lengths = {poset.top: 0}
-
-    def length(u):
-        if u not in lengths:
-            lengths[u] = 1 + max(length(w) for w in poset.up[u])
-        return lengths[u]
-
-    for e in poset.elements:
-        length(e)
-    return lengths
-
-
-def _pair_condition_ok(poset: Poset, atom_j, placed) -> bool:
-    """Ordering condition on atom pairs, checked when atom_j is placed after
-    `placed`: every y strictly above atom_j and some placed atom needs a
-    witness z covering atom_j with z <= y and a placed atom strictly below z.
+def _pair_witness(poset: Poset, a, placed):
+    """The canonically first y that breaks the pair condition for atom a
+    placed after the atoms `placed`, or None when the condition holds: y lies
+    strictly above a and above some placed atom, yet no z covering a with
+    z <= y lies above a placed atom.
     """
-    if not placed:
-        return True
-    placed_ups = set()
-    for a in placed:
-        placed_ups |= poset.upset(a)
-    for y in poset.upset(atom_j) & placed_ups:
-        if y == atom_j:
-            continue
-        for z in poset.up[atom_j]:
-            if poset.leq(z, y) and any(poset.lt(a, z) for a in placed):
-                break
-        else:
-            return False
-    return True
+    p = poset
+    above_placed = set().union(*map(p.upset, placed))
+    zs = [z for z in p.up[a] if any(p.lt(b, z) for b in placed)]
+    for y in sorted((p.upset(a) & above_placed) - {a}, key=p.index.__getitem__):
+        if not any(p.leq(z, y) for z in zs):
+            return y
+    return None
 
 
 class _Search:
-    """Backtracking over recursive atom orderings.
+    """Backtracking over recursive atom orderings; `step` holds the rules.
 
     generalized=False: the constraint set holds atoms that must form a
     prefix of the node's ordering (those covering an earlier sibling atom).
@@ -96,14 +76,6 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.memo = {}
-        self.lengths = _interval_lengths(poset)
-        # elements exactly two cover steps above u, per u
-        self.two_above = {
-            u: tuple(dict.fromkeys(
-                w for x in poset.up[u] for w in poset.up[x]
-            ))
-            for u in poset.elements
-        }
 
     def _tick(self):
         self.nodes += 1
@@ -113,144 +85,102 @@ class _Search:
                 nodes=self.nodes, budget=self.budget,
             )
 
-    def _first_atom_restriction_ok(self, u, candidate, placed_set, marked):
-        if candidate in marked:
-            return True
+    def leaf(self, u) -> bool:
+        """True when every chain of [u, top] has length at most one."""
+        return all(w == self.poset.top for w in self.poset.up[u])
+
+    def step(self, u, constraint, placed, a):
+        """The constraint of the child [a, top] when atom a of [u, top] is
+        placed right after the atoms `placed`, or None when the rules forbid
+        it."""
         p = self.poset
-        for w in self.two_above[u]:
-            if not p.leq(candidate, w):
-                continue
-            atoms_w = [a for a in p.up[u] if p.leq(a, w)]
-            if any(a in placed_set for a in atoms_w):
-                continue  # candidate would not be first in [u, w]
-            if any(a in marked for a in atoms_w):
-                return False
-        return True
+        done = set(placed)
+        if not self.generalized:
+            if not (a in constraint or constraint <= done):
+                return None
+        elif constraint and a not in constraint:
+            for w in {w for x in p.up[u] for w in p.up[x] if p.leq(a, w)}:
+                below = p.atoms_of(u, w)
+                if done.isdisjoint(below) and not constraint.isdisjoint(below):
+                    return None  # a would come first in [u, w] unmarked
+        if _pair_witness(p, a, placed) is not None:
+            return None
+        if self.generalized:
+            return frozenset(v for v in p.up[a] if any(p.lt(b, v) for b in placed))
+        return frozenset(v for v in p.up[a] if any(b in p.down[v] for b in placed))
 
     def search(self, u, constraint: frozenset):
         key = (u, constraint)
-        if key in self.memo:
-            return self.memo[key]
-        p = self.poset
-        if self.lengths[u] <= 1:
-            tree = RaoTree(u, tuple(p.up[u]))
-        else:
-            tree = self._order_atoms(u, constraint, [], set(), {})
-        self.memo[key] = tree
-        return tree
+        if key not in self.memo:
+            if self.leaf(u):
+                self.memo[key] = RaoTree(u, tuple(self.poset.up[u]))
+            else:
+                self.memo[key] = self._order_atoms(u, constraint, [], {})
+        return self.memo[key]
 
-    def _order_atoms(self, u, constraint, placed, placed_set, children):
+    def _order_atoms(self, u, constraint, placed, children):
         self._tick()
-        p = self.poset
-        atoms = p.up[u]
+        atoms = self.poset.up[u]
         if len(placed) == len(atoms):
             return RaoTree(u, tuple(placed), dict(children))
-
-        remaining = [a for a in atoms if a not in placed_set]
-        if not self.generalized and not constraint <= placed_set:
-            candidates = [a for a in remaining if a in constraint]
-        else:
-            candidates = remaining
-
-        for a in candidates:
-            if not _pair_condition_ok(p, a, placed):
+        for a in atoms:
+            if a in children:
                 continue
-            if self.generalized and not self._first_atom_restriction_ok(
-                    u, a, placed_set, constraint):
+            child_constraint = self.step(u, constraint, placed, a)
+            if child_constraint is None:
                 continue
-            if self.generalized:
-                child_constraint = frozenset(
-                    v for v in p.up[a] if any(p.lt(b, v) for b in placed)
-                )
-            else:
-                child_constraint = frozenset(
-                    v for v in p.up[a] if any(b in p.down[v] for b in placed)
-                )
             child = self.search(a, child_constraint)
             if child is None:
                 continue
             placed.append(a)
-            placed_set.add(a)
             children[a] = child
-            found = self._order_atoms(u, constraint, placed, placed_set, children)
+            found = self._order_atoms(u, constraint, placed, children)
             if found is not None:
                 return found
             placed.pop()
-            placed_set.remove(a)
             del children[a]
         return None
-
-    def run(self):
-        return self.search(self.poset.bottom, frozenset())
 
 
 def find_rao(poset: Poset, budget: int = DEFAULT_SEARCH_BUDGET):
     """A recursive atom ordering certificate, or None (certified absence)."""
-    return _Search(poset, generalized=False, budget=budget).run()
+    return _Search(poset, generalized=False, budget=budget).search(poset.bottom, frozenset())
 
 
 def find_grao(poset: Poset, budget: int = DEFAULT_SEARCH_BUDGET):
     """A generalized recursive atom ordering certificate, or None."""
-    return _Search(poset, generalized=True, budget=budget).run()
+    return _Search(poset, generalized=True, budget=budget).search(poset.bottom, frozenset())
 
 
 def verify_rao(poset: Poset, tree: RaoTree) -> bool:
-    """Independent re-check of a supplied RAO certificate."""
-    return _verify(poset, tree, poset.bottom, frozenset(),
-                   generalized=False, lengths=_interval_lengths(poset))
+    """Re-check of a supplied RAO certificate under the search's own rules."""
+    return _verify(_Search(poset, False, DEFAULT_SEARCH_BUDGET), tree, poset.bottom, frozenset())
 
 
 def verify_grao(poset: Poset, tree: RaoTree) -> bool:
-    return _verify(poset, tree, poset.bottom, frozenset(),
-                   generalized=True, lengths=_interval_lengths(poset))
+    """Re-check of a supplied GRAO certificate under the search's own rules."""
+    return _verify(_Search(poset, True, DEFAULT_SEARCH_BUDGET), tree, poset.bottom, frozenset())
 
 
-def _verify(poset, tree, u, constraint, generalized, lengths) -> bool:
+def _verify(rules: _Search, tree, u, constraint) -> bool:
+    """Re-apply `rules.step` to every prefix of the certificate's atom orders."""
     if not isinstance(tree, RaoTree) or tree.bottom != u:
         raise MalformedCertificateError(f"certificate node mismatch at {u!r}")
-    atoms = poset.up[u]
-    if sorted(tree.atom_order) != sorted(atoms):
+    order = tree.atom_order
+    if sorted(order) != sorted(rules.poset.up[u]):
         raise MalformedCertificateError(
             f"atom order at {u!r} is not a permutation of the atoms"
         )
-    if lengths[u] <= 1:
+    if rules.leaf(u):
         return True
-
-    order = tree.atom_order
-    if not generalized:
-        k = len(constraint)
-        if set(order[:k]) != set(constraint):
-            return False
-    else:
-        checker = _Search(poset, generalized=True, budget=DEFAULT_SEARCH_BUDGET)
-        placed_set = set()
-        for a in order:
-            if not checker._first_atom_restriction_ok(u, a, placed_set, constraint):
-                return False
-            placed_set.add(a)
-
-    placed = []
-    for a in order:
-        if not _pair_condition_ok(poset, a, placed):
-            return False
-        placed.append(a)
-
-    for j, a in enumerate(order):
+    constraints = [rules.step(u, constraint, order[:j], a) for j, a in enumerate(order)]
+    if None in constraints:
+        return False
+    for a, child_constraint in zip(order, constraints):
         if a not in tree.children:
-            if lengths[a] > 1:
+            if not rules.leaf(a):
                 raise MalformedCertificateError(f"missing child certificate at {a!r}")
-            continue
-        earlier = order[:j]
-        if generalized:
-            child_constraint = frozenset(
-                v for v in poset.up[a] if any(poset.lt(b, v) for b in earlier)
-            )
-        else:
-            child_constraint = frozenset(
-                v for v in poset.up[a] if any(b in poset.down[v] for b in earlier)
-            )
-        if not _verify(poset, tree.children[a], a, child_constraint,
-                       generalized, lengths):
+        elif not _verify(rules, tree.children[a], a, child_constraint):
             return False
     return True
 
@@ -263,20 +193,6 @@ def rao_pair_obstructions(poset: Poset):
     below it.  The first witness in canonical element order is reported for
     each ordered pair that admits one.
     """
-    p = poset
-    key = p.index.__getitem__
-    out = []
-    atoms = p.atoms()
-    for a in atoms:
-        for b in atoms:
-            if a == b:
-                continue
-            commons = sorted((p.upset(a) & p.upset(b)) - {a, b}, key=key)
-            for y in commons:
-                witnessed = any(
-                    p.leq(z, y) and p.lt(a, z) for z in p.up[b]
-                )
-                if not witnessed:
-                    out.append((a, b, y))
-                    break
-    return out
+    atoms = poset.atoms()
+    return [(a, b, y) for a in atoms for b in atoms
+            if a != b and (y := _pair_witness(poset, b, (a,))) is not None]

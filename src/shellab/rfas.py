@@ -32,6 +32,7 @@ from .errors import (
     NotAnRfasError,
     NotTclError,
     entry_error,
+    unique_table,
 )
 from .labeling import CELabeling, _Verifier, classify, lex_order_max_chains
 from .poset import Poset, build_poset
@@ -529,11 +530,10 @@ def first_atom_set_from_json(poset: Poset, data: dict,
     listed = data.get("first_atoms", [])
     if not isinstance(listed, list):
         raise InvalidInputError('"first_atoms" must be a list')
-    entries = {}
     try:
-        for e in listed:
-            root = tuple(e["root"]) if e.get("root") is not None else None
-            entries[(root, e["x"], e["y"])] = e["atom"]
+        entries = unique_table("first atom", (
+            ((tuple(e["root"]) if e.get("root") is not None else None, e["x"], e["y"]), e["atom"])
+            for e in listed))
     except (AttributeError, KeyError, TypeError) as exc:
         raise entry_error("first atom", listed, ("x", "y", "atom"), exc) from None
     default = data.get("default", "leftmost")

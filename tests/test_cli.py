@@ -137,6 +137,17 @@ _LEFT_PLUS_NON_COVER = json.dumps({"labels": shellab.labeling_to_json(
     load_named("fig1").labeling("left"))["labels"] + [{"from": "0hat", "to": "c", "label": 1}]})
 
 
+
+def _fig1_labeling_plus_repeat(name, shift):
+    """A fig1 labeling file whose first entry is repeated, its label moved by `shift`."""
+    data = shellab.labeling_to_json(load_named("fig1").labeling(name))
+    data["labels"].append({**data["labels"][0], "label": data["labels"][0]["label"] + shift})
+    return json.dumps(data)
+
+
+_FIRST_ATOM_ENTRY = {"root": ["0hat"], "x": "0hat", "y": "1hat", "atom": "a"}
+
+
 @pytest.mark.parametrize("argv, content, message", [
     (["check", "--kind", "el", "corpus:fig1", "{path}"], '{"mode": "edge"}', '"labels"'),
     (["rfas-check", "corpus:fig1", "{path}"], "not json", "not JSON"),
@@ -163,11 +174,20 @@ _LEFT_PLUS_NON_COVER = json.dumps({"labels": shellab.labeling_to_json(
      "unusable facet vertices"),
     (["relabel", "corpus:fig1", "--order-file", "{path}"], "",
      "permutation of the maximal chains"),
+    (["rfas-check", "corpus:fig1", "{path}"],
+     json.dumps({"first_atoms": [_FIRST_ATOM_ENTRY, {**_FIRST_ATOM_ENTRY, "atom": "b"}]}),
+     "entries give (('0hat',), '0hat', '1hat') two values, 'a' and 'b'"),
+    (["check", "--kind", "el", "corpus:fig1", "{path}"], _fig1_labeling_plus_repeat("left", 1),
+     "labeling entries give ('0hat', 'a') two values"),
+    (["check", "--kind", "cc", "corpus:fig1", "{path}"], _fig1_labeling_plus_repeat("middle", 1),
+     "labeling entries give (('0hat',), '0hat', 'a') two values"),
 ], ids=["labeling-without-labels", "first-atoms-not-json", "missing-file",
         "first-atoms-not-an-object", "order-not-a-permutation", "first-atom-root-not-a-chain",
         "first-atom-root-of-another-element", "chain-edge-root-not-a-chain",
         "edge-label-for-a-non-cover", "edge-label-not-an-integer", "chain-edge-label-not-an-integer",
-        "facets-mixing-strings-and-numbers", "chain-order-not-a-permutation"])
+        "facets-mixing-strings-and-numbers", "chain-order-not-a-permutation",
+        "first-atom-contradictory-repeat", "edge-label-contradictory-repeat",
+        "chain-edge-label-contradictory-repeat"])
 def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"
     if content is not None:
@@ -175,6 +195,20 @@ def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, messag
     assert run([a.replace("{path}", str(path)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["check", "--kind", "el", "corpus:fig1", "{path}"], _fig1_labeling_plus_repeat("left", 0)),
+    (["check", "--kind", "cc", "corpus:fig1", "{path}"],
+     _fig1_labeling_plus_repeat("middle", 0)),
+    (["rfas-check", "corpus:fig1", "{path}"],
+     json.dumps({"first_atoms": [_FIRST_ATOM_ENTRY, _FIRST_ATOM_ENTRY]})),
+], ids=["edge-label", "chain-edge-label", "first-atom"])
+def test_identical_repeated_entry_is_accepted(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run([a.replace("{path}", str(path)) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, content, field", [
@@ -237,3 +271,18 @@ def test_rao_certificate_roundtrip(tmp_path):
     assert run(["rao", "corpus:fig1", "--certificate", str(out)]) == 0
     tree = RaoTree.from_json(json.loads(out.read_text()))
     assert verify_rao(load_named("fig1").poset, tree)
+
+
+def test_closed_stdout_pipe_ends_without_traceback():
+    # as in `shellab corpus fig1 | head -0`: the reader is gone before the
+    # report is written
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "shellab.cli", "corpus", "fig1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

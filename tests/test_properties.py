@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shellab import (
     CELabeling,
@@ -14,6 +14,8 @@ from shellab import (
     check_rfas,
     classify,
     dual,
+    find_grao,
+    find_rao,
     is_graded,
     is_shelling,
     maximal_chains,
@@ -26,7 +28,9 @@ from shellab import (
     rooted_cover_count,
     shelling_from_rfas,
     verify_block_structure,
+    verify_grao,
     verify_label_bound,
+    verify_rao,
 )
 from shellab import corpus
 from shellab.chains import roots
@@ -224,3 +228,28 @@ def test_node_keyed_rfas_match_literal_oracles_on_corpus(name):
             assert check_rfas(p, omega, literal_ii) == _check_rfas_literal(p, omega, literal_ii)
         if check_rfas(p, omega).ok:
             assert chain_order_dag(p, omega) == _chain_order_dag_literal(p, omega)
+
+
+# RAO/GRAO cross-checks against brute-force shellability and each other, which
+# do not go through the ordering rules that the searches and verifiers share
+
+@SETTINGS
+@given(posets)
+def test_grao_implies_shellable(p):
+    assume(len(order_complex(p).facets) <= 9)
+    tree = find_grao(p)
+    if tree is not None:
+        assert verify_grao(p, tree)
+        assert brute_force_shellable(order_complex(p)) is not None
+
+
+@SETTINGS
+@given(posets)
+def test_graded_rao_implies_grao_and_shellable(p):
+    assume(len(order_complex(p).facets) <= 9)
+    tree = find_rao(p)
+    if tree is not None:
+        assert verify_rao(p, tree)
+        if is_graded(p):
+            assert find_grao(p) is not None
+            assert brute_force_shellable(order_complex(p)) is not None

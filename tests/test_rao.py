@@ -3,15 +3,32 @@ import pytest
 from shellab import (
     MalformedCertificateError,
     RaoTree,
+    brute_force_shellable,
     build_poset,
     dual,
     find_grao,
     find_rao,
+    order_complex,
     ordinal_sum,
+    random_bounded_poset,
     rao_pair_obstructions,
     verify_grao,
     verify_rao,
 )
+
+
+def _boolean_lattice_3():
+    subsets = ["1", "2", "3", "12", "13", "23"]
+    covers = [("0hat", s) for s in "123"] + [(s, "1hat") for s in ("12", "13", "23")]
+    covers += [(a, b) for a in "123" for b in ("12", "13", "23") if a in b]
+    return build_poset(["0hat", *subsets, "1hat"], covers)
+
+
+def _swap_child_order(tree, atom):
+    """The certificate with the atom order of one child reversed."""
+    data = tree.to_json()
+    data["children"][atom]["atom_order"].reverse()
+    return RaoTree.from_json(data)
 
 
 def test_edge_poset_trivial_rao():
@@ -85,6 +102,7 @@ def test_verify_rejects_pair_condition_violation(fig3):
     q = fig3.poset
     for order in (("c", "d"), ("d", "c")):
         assert not verify_rao(q, RaoTree("0hat", order, {}))
+        assert not verify_grao(q, RaoTree("0hat", order, {}))
 
 
 def test_verify_rejects_bad_shape(fig1):
@@ -106,3 +124,41 @@ def test_grao_condition_distinguishes(fig1):
     tree = find_rao(p)
     assert tree.atom_order == ("m",)
     assert tree.children["m"].atom_order == ("1hat",)
+
+
+def test_verify_rejects_child_order_breaking_its_constraint():
+    # the root order 1, 2, 3 is valid; in [2, 1hat] the atom 12 covers the
+    # earlier atom 1, so it must come before 23, which the pair rule allows
+    p = _boolean_lattice_3()
+    tree = find_rao(p)
+    assert tree.atom_order == ("1", "2", "3")
+    assert tree.children["2"].atom_order == ("12", "23")
+    assert verify_rao(p, tree)
+    assert not verify_rao(p, _swap_child_order(tree, "2"))
+
+
+def test_verify_grao_rejects_unmarked_first_atom():
+    # in [2, 1hat] the atom 12 lies above the earlier atom 1 (marked), so the
+    # unmarked 23 may not come first in [2, 1hat]
+    p = _boolean_lattice_3()
+    tree = find_grao(p)
+    assert verify_grao(p, tree)
+    assert not verify_grao(p, _swap_child_order(tree, "2"))
+
+
+# nonpure posets on which the RAO search and verifier accept a certificate
+# although the order complex has no shelling
+_NOT_SHELLABLE = [(98, 9, 0.3), (148, 9, 0.3), (111, 8, 0.25)]
+
+
+@pytest.mark.parametrize("seed, n, prob", _NOT_SHELLABLE)
+def test_nonpure_repros_are_not_shellable(seed, n, prob):
+    p = random_bounded_poset(seed, n, prob)
+    assert brute_force_shellable(order_complex(p)) is None
+    assert find_grao(p) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed, n, prob", _NOT_SHELLABLE)
+def test_nonpure_repros_have_no_rao(seed, n, prob):
+    assert find_rao(random_bounded_poset(seed, n, prob)) is None
