@@ -37,6 +37,7 @@ from .errors import (
 from .labeling import CELabeling, _Verifier, classify, lex_order_max_chains
 from .poset import Poset, build_poset
 from .relabel import relabel_from_order
+from .shelling import _orderings
 
 DEFAULT_LC_BUDGET = 10 ** 6
 
@@ -232,13 +233,9 @@ class ChainOrderDag(Record):
     def closure(self):
         """closure()[i] = set of chain indices reachable from i (reflexive)."""
         if self._closure is None:
-            n = len(self.chains)
-            succ = [set() for _ in range(n)]
-            for i, j in self.edges:
-                succ[i].add(j)
-            reach = [None] * n
-            order = _topo_indices(n, succ)
-            for i in reversed(order):
+            succ = self.succ
+            reach = [None] * len(succ)
+            for i in reversed(_topo_indices(len(succ), succ)):
                 r = {i}
                 for j in succ[i]:
                     r |= reach[j]
@@ -250,12 +247,20 @@ class ChainOrderDag(Record):
         return self.index(m2) in self.closure()[self.index(m)]
 
     def is_antisymmetric(self) -> bool:
-        cl = self.closure()
-        n = len(self.chains)
-        return not any(
-            i != j and j in cl[i] and i in cl[j]
-            for i in range(n) for j in range(n)
-        )
+        """False exactly when the edges between distinct chains have a cycle."""
+        try:
+            _topo_indices(len(self.succ), [s - {i} for i, s in enumerate(self.succ)])
+        except NotAnRfasError:
+            return False
+        return True
+
+    @cached_property
+    def succ(self):
+        """succ[i] = chain indices with an edge out of i."""
+        succ = [set() for _ in self.chains]
+        for i, j in self.edges:
+            succ[i].add(j)
+        return succ
 
     @cached_property
     def preds(self):
@@ -325,23 +330,9 @@ def chain_order_dag(poset: Poset, omega: FirstAtomSet,
 
 def linear_extensions(dag: ChainOrderDag):
     """All linear extensions of the chain order, deterministically ordered."""
-    n = len(dag.chains)
-    preds = dag.preds
-
-    def rec(placed, placed_set):
-        if len(placed) == n:
-            yield tuple(dag.chains[i] for i in placed)
-            return
-        for i in range(n):
-            if i in placed_set or not preds[i] <= placed_set:
-                continue
-            placed.append(i)
-            placed_set.add(i)
-            yield from rec(placed, placed_set)
-            placed.pop()
-            placed_set.remove(i)
-
-    yield from rec([], set())
+    pmask = [sum(1 << i for i in p) for p in dag.preds]
+    for order in _orderings(len(pmask), lambda i, placed: pmask[i] & placed == pmask[i]):
+        yield tuple(dag.chains[i] for i in order)
 
 
 def shelling_from_rfas(poset: Poset, omega: FirstAtomSet,
@@ -349,10 +340,7 @@ def shelling_from_rfas(poset: Poset, omega: FirstAtomSet,
     """First linear extension of the chain order, a shelling order: always
     the least-index chain whose predecessors are placed, found without search."""
     dag = chain_order_dag(poset, omega, budget)
-    succ = [[] for _ in dag.chains]
-    for i, j in dag.edges:
-        succ[i].append(j)
-    return tuple(dag.chains[i] for i in _topo_indices(len(succ), succ))
+    return tuple(dag.chains[i] for i in _topo_indices(len(dag.succ), dag.succ))
 
 
 def check_lc(poset: Poset, omega: FirstAtomSet,
@@ -363,14 +351,13 @@ def check_lc(poset: Poset, omega: FirstAtomSet,
 
     The forbidden pattern: chains at positions i < j < k where the i-th and
     k-th share a rooted cover pair (r, x < y < z) while the j-th passes x
-    with the same root but a different atom above it.  Backtracking places
+    with the same root but a different atom above it.  `_orderings` places
     chains one by one; placing a chain that deviates at (r, x) while some
     chain through (r, x < y < z) is already placed and another is still
     unplaced is pruned, which is exact, so exhaustion proves nonexistence.
+    Both tests depend only on the placed set, as its dead-set memo needs.
     """
     dag = chain_order_dag(poset, omega, budget)
-    chains = dag.chains
-    n = len(chains)
     trie = omega.trie
     parent, depth = trie.parent, trie.depth
     leaves = trie.nodes_of[poset.top]
@@ -383,59 +370,46 @@ def check_lc(poset: Poset, omega: FirstAtomSet,
     open_by_q = [0] * len(trie)
     open_by_qy = [0] * len(trie)
 
-    preds = dag.preds
-    nodes = 0
-    order = []
-    placed_set = set()
+    missing = [len(p) for p in dag.preds]  # unplaced direct predecessors
+    nodes = placed = 0
 
-    def violates(idx):
-        v = leaves[idx]
-        while v:
-            if open_by_q[parent[v]] > open_by_qy[v]:
-                return True
-            v = parent[v]
-        return False
-
-    def apply(idx, delta):
-        p = leaves[idx]
-        while depth[p] >= 2:
-            h = parent[p]
-            was_open = 0 < placed_count[p] < total[p]
-            placed_count[p] += delta
-            now_open = 0 < placed_count[p] < total[p]
-            if was_open != now_open:
-                step = 1 if now_open else -1
-                open_by_q[parent[h]] += step
-                open_by_qy[h] += step
-            p = h
-
-    def rec():
+    def tick():
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
                 "compatibility search exceeded its node budget",
-                nodes=nodes, budget=node_budget, placed=len(order),
+                nodes=nodes, budget=node_budget, placed=placed,
             )
-        if len(order) == n:
-            return tuple(chains[i] for i in order)
-        for i in range(n):
-            if i in placed_set or not preds[i] <= placed_set:
-                continue
-            if violates(i):
-                continue
-            order.append(i)
-            placed_set.add(i)
-            apply(i, +1)
-            found = rec()
-            if found is not None:
-                return found
-            apply(i, -1)
-            order.pop()
-            placed_set.remove(i)
-        return None
 
-    return rec()
+    def fits(idx, placed_mask):
+        if missing[idx]:
+            return False
+        v = leaves[idx]  # climb while idx would split no open pattern at v
+        while v and open_by_q[parent[v]] <= open_by_qy[v]:
+            v = parent[v]
+        return not v
+
+    def place(idx, delta):
+        nonlocal placed
+        placed += delta
+        if delta > 0:
+            tick()
+        for j in dag.succ[idx]:
+            missing[j] -= delta
+        p = leaves[idx]
+        while depth[p] >= 2:
+            h = parent[p]
+            was_open = 0 < placed_count[p] < total[p]
+            placed_count[p] += delta
+            step = (0 < placed_count[p] < total[p]) - was_open
+            open_by_q[parent[h]] += step
+            open_by_qy[h] += step
+            p = h
+
+    tick()  # the empty prefix is the first node
+    order = next(_orderings(len(leaves), fits, place), None)
+    return None if order is None else tuple(dag.chains[i] for i in order)
 
 
 def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,

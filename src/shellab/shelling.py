@@ -239,14 +239,52 @@ def homotopy_report(complex_: OrderComplex, order) -> HomotopyReport:
     return HomotopyReport(counts, chi)
 
 
-def brute_force_shellable(complex_: OrderComplex, max_facets: int = 9,
-                          budget: int | None = None):
+def _orderings(n, fits, place=None):
+    """Every ordering of range(n) in which each item fits after the items
+    placed before it, as index tuples in lexicographic order.
+
+    fits(i, placed_mask) must depend only on the bitmask of placed items;
+    place(i, +1 / -1), when given, hears of each placement and undo.  A
+    placed set from which no ordering completes is not entered again, so the
+    search is exponential in n, not factorial; its stack is a list, not Python's.
+    """
+    place = place or (lambda i, delta: None)
+    dead, free, order, mask, completed = set(), list(range(n)), [], 0, 0
+    frames = []  # per open depth: [next position in free, orderings completed on entry]
+    while True:
+        if len(frames) == len(order):  # order[-1] was just placed, or nothing yet
+            if not free:
+                completed += 1
+                yield tuple(order)
+            elif mask not in dead:
+                frames.append([0, completed])
+        if len(frames) > len(order):  # scan the open frame for a next item
+            k = frames[-1][0]
+            while k < len(free) and not fits(free[k], mask):
+                k += 1
+            if k < len(free):
+                frames[-1][0] = k + 1
+                i = free.pop(k)
+                order.append(i)
+                mask |= 1 << i
+                place(i, 1)
+                continue
+            if frames.pop()[1] == completed:
+                dead.add(mask)
+        if not order:
+            return
+        i = order.pop()
+        mask ^= 1 << i
+        free.insert(frames[-1][0] - 1, i)  # back where its frame took it from
+        place(i, -1)
+
+
+def brute_force_shellable(complex_: OrderComplex, max_facets: int = 9):
     """Some shelling order, or None when provably none exists.
 
-    Backtracks over facet prefixes; since admissibility of appending a facet
-    depends only on the set of earlier facets, failed prefix sets are
-    memoized, so the search is exponential in the facet count rather than
-    factorial.  Posets with more than `max_facets` facets are refused.
+    Admissibility of appending a facet depends only on the set of earlier
+    facets, so `_orderings` memoizes the failed prefix sets.  Complexes with
+    more than `max_facets` facets are refused.
     """
     facets = complex_.facets
     n = len(facets)
@@ -256,25 +294,9 @@ def brute_force_shellable(complex_: OrderComplex, max_facets: int = 9,
             facets=n, max_facets=max_facets,
         )
     masks = _vertex_masks(facets)
-    dead = set()
-
-    def search(placed, placed_mask):
-        if len(placed) == n:
-            return tuple(facets[i] for i in placed)
-        if placed_mask in dead:
-            return None
-        for j in range(n):
-            if placed_mask >> j & 1 or _restriction(masks, facets[j], placed_mask)[1]:
-                continue
-            placed.append(j)
-            found = search(placed, placed_mask | 1 << j)
-            if found is not None:
-                return found
-            placed.pop()
-        dead.add(placed_mask)
-        return None
-
-    return search([], 0)
+    order = next(_orderings(
+        n, lambda j, placed: not _restriction(masks, facets[j], placed)[1]), None)
+    return None if order is None else tuple(facets[i] for i in order)
 
 
 def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):

@@ -7,15 +7,18 @@ permutation, and labelings are classified by quantifying over tuple roots
 and label sequences literally.
 """
 
+import random
 from itertools import permutations
 
 import pytest
 
 from shellab import (
+    BudgetExceededError,
     CELabeling,
     ChainOrderDag,
     LabelingReport,
     build_poset,
+    chain_order_dag,
     corpus,
     label_sequence,
 )
@@ -347,6 +350,122 @@ def _chain_order_dag_literal(poset, omega):
                 m = m2[:i] + _first_atom_chain_literal(omega, m2[:i + 1], x, z) + m2[i + 3:]
                 edges.add((pos[m], j))
     return ChainOrderDag(chains, frozenset(edges))
+
+
+def _check_lc_literal(poset, omega, node_budget=10 ** 6):
+    """check_lc as a plain recursive backtracker without a memo: one frame
+    per placed chain, each prefix a node of the budget."""
+    dag = chain_order_dag(poset, omega)
+    chains = dag.chains
+    n = len(chains)
+    trie = omega.trie
+    parent, depth = trie.parent, trie.depth
+    leaves = trie.nodes_of[poset.top]
+
+    # a pattern is a node p at depth >= 2 (the root r + (x, y, z)), open
+    # while some but not all chains through it are placed; it opens its
+    # grandparent (r + (x,)) except towards its parent (r + (x, y))
+    total = [len(trie.within(v, poset.top)) for v in range(len(trie))]
+    placed_count = [0] * len(trie)
+    open_by_q = [0] * len(trie)
+    open_by_qy = [0] * len(trie)
+
+    preds = dag.preds
+    nodes = 0
+    order = []
+    placed_set = set()
+
+    def violates(idx):
+        v = leaves[idx]
+        while v:
+            if open_by_q[parent[v]] > open_by_qy[v]:
+                return True
+            v = parent[v]
+        return False
+
+    def apply(idx, delta):
+        p = leaves[idx]
+        while depth[p] >= 2:
+            h = parent[p]
+            was_open = 0 < placed_count[p] < total[p]
+            placed_count[p] += delta
+            now_open = 0 < placed_count[p] < total[p]
+            if was_open != now_open:
+                step = 1 if now_open else -1
+                open_by_q[parent[h]] += step
+                open_by_qy[h] += step
+            p = h
+
+    def rec():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                "compatibility search exceeded its node budget",
+                nodes=nodes, budget=node_budget, placed=len(order),
+            )
+        if len(order) == n:
+            return tuple(chains[i] for i in order)
+        for i in range(n):
+            if i in placed_set or not preds[i] <= placed_set:
+                continue
+            if violates(i):
+                continue
+            order.append(i)
+            placed_set.add(i)
+            apply(i, +1)
+            found = rec()
+            if found is not None:
+                return found
+            apply(i, -1)
+            order.pop()
+            placed_set.remove(i)
+        return None
+
+    return rec()
+
+
+def _sandwich_literal(order):
+    """First positions (i, j, k) of chains in `order` where the i-th and k-th
+    both pass r + (y, z) for a root r of x while the j-th passes r and leaves
+    x by an atom other than y; None when the order has no such sandwich."""
+    spans = {}
+    for pos, m in enumerate(order):
+        for t in range(3, len(m) + 1):
+            spans[m[:t]] = (spans.get(m[:t], (pos,))[0], pos)
+    for prefix, (lo, hi) in spans.items():
+        r, y = prefix[:-2], prefix[-2]
+        for j in range(lo + 1, hi):
+            if order[j][:len(r)] == r and order[j][len(r)] != y:
+                return (lo, j, hi)
+    return None
+
+
+def _linear_extensions_literal(dag):
+    """Every permutation of the chains that keeps each edge's direction,
+    in the lexicographic order of chain positions."""
+    out = []
+    for perm in permutations(range(len(dag.chains))):
+        at = {c: pos for pos, c in enumerate(perm)}
+        if all(at[i] < at[j] for i, j in dag.edges):
+            out.append(tuple(dag.chains[c] for c in perm))
+    return out
+
+
+def shuffled_boolean_lattice(n, seed):
+    """B_n on subsets of range(n), its elements listed in a seeded order
+    inside each rank, with an edge labeling by a seeded permutation of the
+    coordinates (an EL-labeling)."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), rng.random()))
+    name = {m: "s" + "".join("abcdefgh"[i] for i in range(n) if m >> i & 1) for m in masks}
+    covers = [(name[m], name[m | 1 << i]) for m in masks for i in range(n) if not m >> i & 1]
+    poset = build_poset([name[m] for m in masks], covers)
+    labels = {(name[m], name[m | 1 << i]): perm[i]
+              for m in masks for i in range(n) if not m >> i & 1}
+    return poset, CELabeling.from_edges(poset, labels)
 
 
 # -- fixtures ------------------------------------------------------------

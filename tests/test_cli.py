@@ -286,3 +286,19 @@ def test_closed_stdout_pipe_ends_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_lc_check_on_1500_atoms_ends_without_traceback(tmp_path):
+    # one stack frame per placed chain ended in RecursionError here
+    atoms = [f"v{i}" for i in range(1500)]
+    poset = shellab.build_poset(["0hat", *atoms, "1hat"],
+                                [("0hat", a) for a in atoms] + [(a, "1hat") for a in atoms])
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+    (tmp_path / "rfas.json").write_text(json.dumps({"first_atoms": []}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "shellab.cli", "lc-check",
+                           str(tmp_path / "poset.json"), str(tmp_path / "rfas.json")],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "lc-extension: ok" in proc.stdout

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shellab import (
+    BudgetExceededError,
     CELabeling,
     FirstAtomSet,
     NotTclError,
     brute_force_shellable,
     chain_order_dag,
+    check_lc,
     check_rfas,
     classify,
     dual,
@@ -37,16 +39,20 @@ from shellab.chains import roots
 from shellab.labeling import KINDS
 from conftest import (
     _chain_order_dag_literal,
+    _check_lc_literal,
     _check_rfas_literal,
     _classify_literal,
     _is_shelling_literal,
+    _linear_extensions_literal,
     _relabel_literal,
     _rooted_intervals_literal,
+    _sandwich_literal,
     _shelling_violation_literal,
     bfs_reachable,
     brute_paths,
     brute_rooted_covers,
     shelling_orders_by_exhaustion,
+    shuffled_boolean_lattice,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -228,6 +234,65 @@ def test_node_keyed_rfas_match_literal_oracles_on_corpus(name):
             assert check_rfas(p, omega, literal_ii) == _check_rfas_literal(p, omega, literal_ii)
         if check_rfas(p, omega).ok:
             assert chain_order_dag(p, omega) == _chain_order_dag_literal(p, omega)
+
+
+# The one ordering search (`shelling._orderings`) against literal oracles:
+# permutations filtered by the definition, and a recursive backtracker
+# without a memo
+
+def _valid_tables(p, seed):
+    """The leftmost table and, when it is valid, the table read off the
+    relabeling of a shuffled chain order."""
+    chains = list(maximal_chains(p))
+    random.Random(seed).shuffle(chains)
+    tables = [FirstAtomSet.from_entries(p)]
+    try:
+        tables.append(rfas_from_tcl(p, relabel_from_order(p, chains)))
+    except NotTclError:
+        pass
+    return [omega for omega in tables if check_rfas(p, omega).ok]
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_check_lc_matches_literal_oracles(p, seed):
+    assume(len(maximal_chains(p)) <= 8)
+    for omega in _valid_tables(p, seed):
+        found = check_lc(p, omega)
+        assert found == _check_lc_literal(p, omega)
+        # the pruning is exact, so the search finds the first extension
+        # in lexicographic order that has no sandwich
+        assert found == next((e for e in _linear_extensions_literal(chain_order_dag(p, omega))
+                              if _sandwich_literal(e) is None), None)
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_linear_extensions_match_literal_oracle(p, seed):
+    assume(len(maximal_chains(p)) <= 8)
+    for omega in _valid_tables(p, seed):
+        dag = chain_order_dag(p, omega)
+        assert list(linear_extensions(dag)) == _linear_extensions_literal(dag)
+
+
+@SETTINGS
+@given(posets)
+def test_brute_force_shellable_is_first_shelling_by_exhaustion(p):
+    k = order_complex(p)
+    assume(len(k.facets) <= 6)
+    assert brute_force_shellable(k) == next(iter(shelling_orders_by_exhaustion(k.facets)), None)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 6])
+def test_check_lc_matches_literal_oracle_where_it_backtracks(seed):
+    # B_4 has 24 chains; the oracle exceeding 25 nodes shows a dead end
+    p, lab = shuffled_boolean_lattice(4, seed)
+    omega = rfas_from_tcl(p, lab)
+    with pytest.raises(BudgetExceededError):
+        _check_lc_literal(p, omega, node_budget=25)
+    found = check_lc(p, omega)
+    assert found == _check_lc_literal(p, omega)
+    assert _sandwich_literal(found) is None
 
 
 # RAO/GRAO cross-checks against brute-force shellability and each other, which

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from shellab import (
+    BudgetExceededError,
+    ChainOrderDag,
     FirstAtomSet,
     NoLcExtensionError,
     NotAnRfasError,
@@ -30,6 +32,7 @@ from shellab import (
     shelling_from_rfas,
 )
 from shellab.labeling import lex_order_max_chains
+from conftest import _check_lc_literal, _sandwich_literal, shuffled_boolean_lattice
 
 
 # -- first atom chains and pseudo descents -------------------------------
@@ -206,6 +209,43 @@ def test_fig8_compatible_labeling_raises(fig8):
         compatible_labeling(fig8.poset, fig8.first_atom_set("omega"))
 
 
+def test_fig8_extensions_all_have_a_sandwich(fig8):
+    from itertools import islice
+
+    dag = chain_order_dag(fig8.poset, fig8.first_atom_set("omega"))
+    assert all(_sandwich_literal(e) is not None for e in islice(linear_extensions(dag), 200))
+
+
+def test_check_lc_answers_on_b6_past_a_memoless_search_budget():
+    # a backtracker that does not remember dead placed sets exceeds 10,000
+    # nodes here; the memo finds a sandwich-free extension in about 3,300
+    p, lab = shuffled_boolean_lattice(6, 1)
+    omega = rfas_from_tcl(p, lab)
+    with pytest.raises(BudgetExceededError):
+        _check_lc_literal(p, omega, node_budget=10_000)
+    gamma = check_lc(p, omega, node_budget=10_000)
+    assert len(gamma) == 720 and _sandwich_literal(gamma) is None
+    assert sorted(gamma) == sorted(maximal_chains(p))
+    assert is_compatible(relabel_from_order(p, gamma), omega, p)
+
+
+def test_check_lc_budget_diagnostics(fig8):
+    with pytest.raises(BudgetExceededError) as err:
+        check_lc(fig8.poset, fig8.first_atom_set("omega"), node_budget=5)
+    # the empty prefix is the first node and each placement one more
+    assert err.value.diagnostics == {"nodes": 6, "budget": 5, "placed": 5}
+
+
+def test_orderings_on_1500_atoms_do_not_recurse():
+    atoms = [f"v{i}" for i in range(1500)]
+    p = build_poset(["0hat", *atoms, "1hat"],
+                    [("0hat", a) for a in atoms] + [(a, "1hat") for a in atoms])
+    omega = FirstAtomSet.from_entries(p)
+    first = next(linear_extensions(chain_order_dag(p, omega)))
+    assert first == tuple(("0hat", a, "1hat") for a in atoms)
+    assert check_lc(p, omega) == first
+
+
 def test_single_chain_lc(chain3):
     omega = FirstAtomSet.from_entries(chain3)
     gamma = check_lc(chain3, omega)
@@ -340,6 +380,13 @@ def test_cyclic_chain_order_is_not_an_rfas():
                         frozenset({(0, 1), (1, 0)}))
     with pytest.raises(NotAnRfasError):
         dag.closure()
+
+
+def test_is_antisymmetric_is_false_exactly_on_a_cycle():
+    chains = (("0hat", "a", "1hat"), ("0hat", "b", "1hat"))
+    assert not ChainOrderDag(chains, frozenset({(0, 1), (1, 0)})).is_antisymmetric()
+    assert ChainOrderDag(chains, frozenset({(0, 0)})).is_antisymmetric()
+    assert ChainOrderDag(chains, frozenset({(0, 1)})).is_antisymmetric()
 
 
 def test_chain_order_dag_equality_ignores_its_closure_cache():
