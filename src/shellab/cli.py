@@ -30,7 +30,7 @@ from .labeling import (
     lex_order_max_chains,
 )
 from .poset import load_poset, poset_from_json, to_dot
-from .rao import find_grao, find_rao, rao_pair_obstructions, DEFAULT_SEARCH_BUDGET
+from .rao import _Search, rao_pair_obstructions, DEFAULT_SEARCH_BUDGET
 from .relabel import relabel_from_order
 from .rfas import (
     DEFAULT_LC_BUDGET,
@@ -326,12 +326,16 @@ def _cmd_lc_check(args, report):
 
 def _cmd_rao(args, report):
     poset = _resolve_poset(args.poset)
-    finder = find_grao if args.grao else find_rao
-    tree = finder(poset, args.search_budget)
+    search = _Search(poset, args.grao, args.search_budget)
+    tree = search.search(poset.bottom, frozenset())
     kind = "grao" if args.grao else "rao"
     report.verdict(kind, tree is not None)
     if tree is None:
-        report.witness(kind, [list(t) for t in rao_pair_obstructions(poset)])
+        u, constraint = search.refuted()
+        report.witness(kind, [list(t) for t in rao_pair_obstructions(poset)] or {
+            "no_atom_order": [u, poset.top],
+            "constraint": sorted(constraint, key=poset.index.__getitem__),
+        })
     elif args.certificate:
         with open(args.certificate, "w") as fh:
             json.dump(tree.to_json(), fh, indent=2)

@@ -13,42 +13,82 @@ import random
 
 from .errors import CycleDetectedError, InvalidPosetError, NotBoundedError, RedundantCoverError
 
-Element = str
-Cover = tuple  # (a, b) with a covered by b
-
 
 class Poset:
     """A finite bounded poset given by elements and cover relations.
 
-    Use :func:`build_poset` rather than calling this constructor directly;
-    the factory validates acyclicity, Hasse irredundancy and boundedness.
+    Construction validates the data (see :func:`build_poset`, the public
+    factory) and computes the order closures in the same pass.
     """
 
     __slots__ = (
         "elements", "covers", "index", "up", "down", "bottom", "top",
-        "_upset", "_downset", "_path_counts", "_lmin", "_lmax",
+        "_order", "_upset", "_downset", "_path_counts", "_lmin", "_lmax",
         "_chain_cache", "_root_trie",
     )
 
-    def __init__(self, elements, covers, _validated=False):
-        if not _validated:
-            built = build_poset(elements, covers)
-            elements, covers = built.elements, built.covers
-        self.elements = tuple(elements)
-        self.covers = tuple(covers)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        up = {e: [] for e in self.elements}
-        down = {e: [] for e in self.elements}
-        for a, b in self.covers:
+    def __init__(self, elements, covers):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
+            raise InvalidPosetError("element identifiers must be distinct")
+        index = {e: i for i, e in enumerate(elements)}
+        covers = [tuple(c) for c in covers]
+        seen = set()
+        for a, b in covers:
+            if a not in index or b not in index:
+                raise InvalidPosetError(f"cover ({a!r}, {b!r}) references unknown element")
+            if a == b:
+                raise CycleDetectedError(f"self-loop on {a!r}")
+            if (a, b) in seen:
+                raise InvalidPosetError(f"duplicate cover ({a!r}, {b!r})")
+            seen.add((a, b))
+
+        up = {e: [] for e in elements}
+        down = {e: [] for e in elements}
+        for a, b in covers:
             up[a].append(b)
             down[b].append(a)
-        key = self.index.__getitem__
+        indeg = {e: len(vs) for e, vs in down.items()}
+        ready = [e for e in elements if not indeg[e]]
+        order = []  # topological, by Kahn's algorithm
+        while ready:
+            e = ready.pop()
+            order.append(e)
+            for w in up[e]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+        if len(order) != len(elements):
+            raise CycleDetectedError("cover relation contains a directed cycle")
+        upset = {}
+        for e in reversed(order):
+            upset[e] = frozenset().union((e,), *map(upset.__getitem__, up[e]))
+        for a, b in covers:
+            for v in up[a]:
+                if v != b and b in upset[v]:
+                    raise RedundantCoverError(
+                        f"cover ({a!r}, {b!r}) is implied via {v!r}"
+                    )
+        minima = [e for e in elements if not down[e]]
+        maxima = [e for e in elements if not up[e]]
+        if len(minima) != 1 or len(maxima) != 1:
+            raise NotBoundedError(
+                f"need unique bottom and top, found minima={minima} maxima={maxima}"
+            )
+
+        key = index.__getitem__
+        self.elements = elements
+        self.covers = tuple(sorted(covers, key=lambda c: (index[c[0]], index[c[1]])))
+        self.index = index
         self.up = {e: tuple(sorted(vs, key=key)) for e, vs in up.items()}
         self.down = {e: tuple(sorted(vs, key=key)) for e, vs in down.items()}
-        self.bottom = next(e for e in self.elements if not self.down[e])
-        self.top = next(e for e in self.elements if not self.up[e])
-        self._upset = None
-        self._downset = None
+        self.bottom, = minima
+        self.top, = maxima
+        self._order = order
+        self._upset = upset
+        self._downset = downset = {}
+        for e in order:
+            downset[e] = frozenset().union((e,), *map(downset.__getitem__, down[e]))
         self._path_counts = None
         self._lmin = None
         self._lmax = None
@@ -57,39 +97,19 @@ class Poset:
 
     # -- order queries -------------------------------------------------
 
-    def _closures(self):
-        if self._upset is None:
-            order = _topological_order(self.elements, self.up)
-            upset = {}
-            for e in reversed(order):
-                s = {e}
-                for w in self.up[e]:
-                    s |= upset[w]
-                upset[e] = frozenset(s)
-            downset = {}
-            for e in order:
-                s = {e}
-                for w in self.down[e]:
-                    s |= downset[w]
-                downset[e] = frozenset(s)
-            self._upset = upset
-            self._downset = downset
-        return self._upset, self._downset
-
     def leq(self, a, b):
         """True iff a <= b in the derived order."""
-        upset, _ = self._closures()
-        return b in upset[a]
+        return b in self._upset[a]
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
     def upset(self, a):
         """All b with a <= b, as a frozenset."""
-        return self._closures()[0][a]
+        return self._upset[a]
 
     def downset(self, a):
-        return self._closures()[1][a]
+        return self._downset[a]
 
     def interval(self, x, y):
         """Elements of [x, y], sorted canonically."""
@@ -104,14 +124,14 @@ class Poset:
 
     def atoms_of(self, x, y):
         """Atoms of the interval [x, y]: covers of x that are below y."""
-        down_y = self._closures()[1][y]
+        down_y = self._downset[y]
         return tuple(v for v in self.up[x] if v in down_y)
 
     def path_count(self, x):
         """Number of maximal chains of [bottom, x]."""
         if self._path_counts is None:
             counts = {}
-            for e in _topological_order(self.elements, self.up):
+            for e in self._order:
                 counts[e] = 1 if e == self.bottom else sum(counts[d] for d in self.down[e])
             self._path_counts = counts
         return self._path_counts[x]
@@ -119,7 +139,7 @@ class Poset:
     def _chain_lengths(self):
         if self._lmin is None:
             lmin, lmax = {}, {}
-            for e in _topological_order(self.elements, self.up):
+            for e in self._order:
                 if e == self.bottom:
                     lmin[e] = lmax[e] = 0
                 else:
@@ -146,25 +166,6 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
-def _topological_order(elements, up):
-    indeg = {e: 0 for e in elements}
-    for e in elements:
-        for w in up[e]:
-            indeg[w] += 1
-    ready = [e for e in elements if indeg[e] == 0]
-    order = []
-    while ready:
-        e = ready.pop()
-        order.append(e)
-        for w in up[e]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != len(elements):
-        raise CycleDetectedError("cover relation contains a directed cycle")
-    return order
-
-
 def build_poset(elements, covers) -> Poset:
     """Validate and build a bounded poset from elements and cover pairs.
 
@@ -172,51 +173,7 @@ def build_poset(elements, covers) -> Poset:
     NotBoundedError; a transitive cover is rejected rather than silently
     reduced so that input files are unambiguous Hasse data.
     """
-    elements = list(elements)
-    if len(set(elements)) != len(elements):
-        raise InvalidPosetError("element identifiers must be distinct")
-    known = set(elements)
-    seen = set()
-    covers = [tuple(c) for c in covers]
-    for a, b in covers:
-        if a not in known or b not in known:
-            raise InvalidPosetError(f"cover ({a!r}, {b!r}) references unknown element")
-        if a == b:
-            raise CycleDetectedError(f"self-loop on {a!r}")
-        if (a, b) in seen:
-            raise InvalidPosetError(f"duplicate cover ({a!r}, {b!r})")
-        seen.add((a, b))
-
-    up = {e: [] for e in elements}
-    down = {e: [] for e in elements}
-    for a, b in covers:
-        up[a].append(b)
-        down[b].append(a)
-    order = _topological_order(elements, up)  # raises on cycles
-
-    upset = {}
-    for e in reversed(order):
-        s = {e}
-        for w in up[e]:
-            s |= upset[w]
-        upset[e] = s
-    for a, b in covers:
-        for v in up[a]:
-            if v != b and b in upset[v]:
-                raise RedundantCoverError(
-                    f"cover ({a!r}, {b!r}) is implied via {v!r}"
-                )
-
-    minima = [e for e in elements if not down[e]]
-    maxima = [e for e in elements if not up[e]]
-    if len(minima) != 1 or len(maxima) != 1:
-        raise NotBoundedError(
-            f"need unique bottom and top, found minima={minima} maxima={maxima}"
-        )
-
-    index = {e: i for i, e in enumerate(elements)}
-    covers_sorted = sorted(covers, key=lambda c: (index[c[0]], index[c[1]]))
-    return Poset(tuple(elements), tuple(covers_sorted), _validated=True)
+    return Poset(elements, covers)
 
 
 def is_graded(poset: Poset) -> bool:

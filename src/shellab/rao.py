@@ -1,9 +1,10 @@
 """Search and verification for recursive atom orderings (RAO / GRAO).
 
-Both searches are exhaustive backtracking over atom orderings of upper
-intervals, with memoization keyed on (interval bottom, constraint set), so a
-returned None is a certificate of absence.  The per-pair obstruction scan
-mirrors the hand argument that rules out every two-atom prefix.
+Both searches are exhaustive: each upper interval's atom order comes from
+`shelling._orderings`, and results are memoized on (interval bottom,
+constraint set), so a returned None is a certificate of absence.  The
+per-pair obstruction scan mirrors the hand argument that rules out every
+two-atom prefix.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import BudgetExceededError, MalformedCertificateError
 from .poset import Poset
+from .shelling import _orderings
 
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
@@ -61,7 +63,7 @@ def _pair_witness(poset: Poset, a, placed):
 
 
 class _Search:
-    """Backtracking over recursive atom orderings; `step` holds the rules.
+    """Memoized search for recursive atom orderings; `step` holds the rules.
 
     generalized=False: the constraint set holds atoms that must form a
     prefix of the node's ordering (those covering an earlier sibling atom).
@@ -110,36 +112,62 @@ class _Search:
         return frozenset(v for v in p.up[a] if any(b in p.down[v] for b in placed))
 
     def search(self, u, constraint: frozenset):
-        key = (u, constraint)
-        if key not in self.memo:
-            if self.leaf(u):
-                self.memo[key] = RaoTree(u, tuple(self.poset.up[u]))
+        """The certificate for [u, top] under `constraint`, or None; an
+        interval waits on an explicit stack while its children are searched."""
+        stack = [((u, constraint), self._atom_order(u, constraint))]
+        while stack:
+            key, solving = stack[-1]
+            try:
+                child = next(solving)
+            except StopIteration as solved:
+                self.memo[key] = solved.value
+                stack.pop()
             else:
-                self.memo[key] = self._order_atoms(u, constraint, [], {})
-        return self.memo[key]
+                stack.append((child, self._atom_order(*child)))
+        return self.memo[u, constraint]
 
-    def _order_atoms(self, u, constraint, placed, children):
-        self._tick()
+    def refuted(self):
+        """(u, constraint) of the first interval [u, top] proved to have no
+        atom order: every child it consulted has a certificate."""
+        return next(key for key, tree in self.memo.items() if tree is None)
+
+    def _atom_order(self, u, constraint):
+        """Generator returning the certificate of the first atom order of [u,
+        top] that `step` and the child certificates allow, or None; it yields
+        each unsolved child and must be resumed once the memo holds it."""
         atoms = self.poset.up[u]
-        if len(placed) == len(atoms):
-            return RaoTree(u, tuple(placed), dict(children))
-        for a in atoms:
-            if a in children:
+        if self.leaf(u):
+            return RaoTree(u, atoms)
+        steps, placed, waiting = {}, [], []
+
+        def fits(i, mask):
+            if (i, mask) not in steps:
+                steps[i, mask] = self.step(u, constraint, placed, atoms[i])
+            key = (atoms[i], steps[i, mask])
+            if key[1] is None:
+                return False
+            if key not in self.memo:
+                waiting.append(key)
+                return None
+            return self.memo[key] is not None
+
+        def place(i, delta):
+            if delta > 0:
+                self._tick()
+                placed.append(atoms[i])
+            else:
+                placed.pop()
+
+        self._tick()
+        for order in _orderings(len(atoms), fits, place):
+            if order is None:
+                yield waiting.pop()
                 continue
-            child_constraint = self.step(u, constraint, placed, a)
-            if child_constraint is None:
-                continue
-            child = self.search(a, child_constraint)
-            if child is None:
-                continue
-            placed.append(a)
-            children[a] = child
-            found = self._order_atoms(u, constraint, placed, children)
-            if found is not None:
-                return found
-            placed.pop()
-            del children[a]
-        return None
+            children, mask = {}, 0
+            for i in order:
+                children[atoms[i]] = self.memo[atoms[i], steps[i, mask]]
+                mask |= 1 << i
+            return RaoTree(u, tuple(atoms[i] for i in order), children)
 
 
 def find_rao(poset: Poset, budget: int = DEFAULT_SEARCH_BUDGET):
@@ -163,25 +191,30 @@ def verify_grao(poset: Poset, tree: RaoTree) -> bool:
 
 
 def _verify(rules: _Search, tree, u, constraint) -> bool:
-    """Re-apply `rules.step` to every prefix of the certificate's atom orders."""
-    if not isinstance(tree, RaoTree) or tree.bottom != u:
-        raise MalformedCertificateError(f"certificate node mismatch at {u!r}")
-    order = tree.atom_order
-    if sorted(order) != sorted(rules.poset.up[u]):
-        raise MalformedCertificateError(
-            f"atom order at {u!r} is not a permutation of the atoms"
-        )
-    if rules.leaf(u):
-        return True
-    constraints = [rules.step(u, constraint, order[:j], a) for j, a in enumerate(order)]
-    if None in constraints:
-        return False
-    for a, child_constraint in zip(order, constraints):
-        if a not in tree.children:
-            if not rules.leaf(a):
-                raise MalformedCertificateError(f"missing child certificate at {a!r}")
-        elif not _verify(rules, tree.children[a], a, child_constraint):
+    """Re-apply `rules.step` to every prefix of the certificate's atom
+    orders, visiting the nodes in preorder from an explicit stack."""
+    stack = [({u: tree}, u, constraint)]
+    while stack:
+        siblings, u, constraint = stack.pop()
+        if u not in siblings:
+            if not rules.leaf(u):
+                raise MalformedCertificateError(f"missing child certificate at {u!r}")
+            continue
+        tree = siblings[u]
+        if not isinstance(tree, RaoTree) or tree.bottom != u:
+            raise MalformedCertificateError(f"certificate node mismatch at {u!r}")
+        order = tree.atom_order
+        if sorted(order) != sorted(rules.poset.up[u]):
+            raise MalformedCertificateError(
+                f"atom order at {u!r} is not a permutation of the atoms"
+            )
+        if rules.leaf(u):
+            continue
+        constraints = [rules.step(u, constraint, order[:j], a) for j, a in enumerate(order)]
+        if None in constraints:
             return False
+        stack.extend((tree.children, a, child_constraint)
+                     for a, child_constraint in reversed(list(zip(order, constraints))))
     return True
 
 

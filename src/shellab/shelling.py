@@ -244,9 +244,11 @@ def _orderings(n, fits, place=None):
     placed before it, as index tuples in lexicographic order.
 
     fits(i, placed_mask) must depend only on the bitmask of placed items;
-    place(i, +1 / -1), when given, hears of each placement and undo.  A
-    placed set from which no ordering completes is not entered again, so the
-    search is exponential in n, not factorial; its stack is a list, not Python's.
+    place(i, +1 / -1), when given, hears of each placement and undo.  fits
+    may answer None while it waits on the caller: the search then yields
+    None and asks again when resumed.  A placed set from which no ordering
+    completes is not entered again, so the search is exponential in n, not
+    factorial; its stack is a list, not Python's.
     """
     place = place or (lambda i, delta: None)
     dead, free, order, mask, completed = set(), list(range(n)), [], 0, 0
@@ -260,8 +262,11 @@ def _orderings(n, fits, place=None):
                 frames.append([0, completed])
         if len(frames) > len(order):  # scan the open frame for a next item
             k = frames[-1][0]
-            while k < len(free) and not fits(free[k], mask):
-                k += 1
+            while k < len(free) and not (fit := fits(free[k], mask)):
+                if fit is None:
+                    yield None
+                else:
+                    k += 1
             if k < len(free):
                 frames[-1][0] = k + 1
                 i = free.pop(k)

@@ -17,11 +17,13 @@ from shellab import (
     CELabeling,
     ChainOrderDag,
     LabelingReport,
+    RaoTree,
     build_poset,
     chain_order_dag,
     corpus,
     label_sequence,
 )
+from shellab.rao import _Search
 from shellab.rfas import RfasReport, RfasViolation
 
 
@@ -450,6 +452,47 @@ def _linear_extensions_literal(dag):
         if all(at[i] < at[j] for i, j in dag.edges):
             out.append(tuple(dag.chains[c] for c in perm))
     return out
+
+
+def _rao_literal(poset, generalized):
+    """find_rao (generalized=False) or find_grao as a plain recursive
+    backtracker: memoized on (interval bottom, constraint), one frame per
+    placed atom and per interval, the ordering rules from `_Search.step`."""
+    rules = _Search(poset, generalized, budget=None)
+    memo = {}
+
+    def search(u, constraint):
+        key = (u, constraint)
+        if key not in memo:
+            if rules.leaf(u):
+                memo[key] = RaoTree(u, tuple(poset.up[u]))
+            else:
+                memo[key] = order_atoms(u, constraint, [], {})
+        return memo[key]
+
+    def order_atoms(u, constraint, placed, children):
+        atoms = poset.up[u]
+        if len(placed) == len(atoms):
+            return RaoTree(u, tuple(placed), dict(children))
+        for a in atoms:
+            if a in children:
+                continue
+            child_constraint = rules.step(u, constraint, placed, a)
+            if child_constraint is None:
+                continue
+            child = search(a, child_constraint)
+            if child is None:
+                continue
+            placed.append(a)
+            children[a] = child
+            found = order_atoms(u, constraint, placed, children)
+            if found is not None:
+                return found
+            placed.pop()
+            del children[a]
+        return None
+
+    return search(poset.bottom, frozenset())
 
 
 def shuffled_boolean_lattice(n, seed):

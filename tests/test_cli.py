@@ -288,17 +288,51 @@ def test_closed_stdout_pipe_ends_without_traceback():
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
-def test_lc_check_on_1500_atoms_ends_without_traceback(tmp_path):
-    # one stack frame per placed chain ended in RecursionError here
+def _run_on_1500_atoms(tmp_path, command, *extra):
+    """`shellab <command> poset.json <extra>` as a process, on the poset
+    0hat < v0..v1499 < 1hat."""
     atoms = [f"v{i}" for i in range(1500)]
     poset = shellab.build_poset(["0hat", *atoms, "1hat"],
                                 [("0hat", a) for a in atoms] + [(a, "1hat") for a in atoms])
     (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
-    (tmp_path / "rfas.json").write_text(json.dumps({"first_atoms": []}))
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "shellab.cli", "lc-check",
-                           str(tmp_path / "poset.json"), str(tmp_path / "rfas.json")],
+    return subprocess.run([sys.executable, "-m", "shellab.cli", command,
+                           str(tmp_path / "poset.json"), *extra],
                           capture_output=True, env=env, text=True)
+
+
+def test_lc_check_on_1500_atoms_ends_without_traceback(tmp_path):
+    # one stack frame per placed chain ended in RecursionError here
+    (tmp_path / "rfas.json").write_text(json.dumps({"first_atoms": []}))
+    proc = _run_on_1500_atoms(tmp_path, "lc-check", str(tmp_path / "rfas.json"))
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert "lc-extension: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("flags, verdict", [((), "rao: ok"), (("--grao",), "grao: ok")],
+                         ids=["rao", "grao"])
+def test_rao_on_1500_atoms_ends_without_traceback(tmp_path, flags, verdict):
+    # one stack frame per placed atom ended in RecursionError here
+    proc = _run_on_1500_atoms(tmp_path, "rao", *flags)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert verdict in proc.stdout
+
+
+@pytest.mark.parametrize("flags, kind", [((), "rao"), (("--grao",), "grao")],
+                         ids=["rao", "grao"])
+def test_rao_failure_without_pair_obstruction_names_the_refuted_interval(
+        tmp_path, capsys, flags, kind):
+    # no two atoms of 0hat obstruct each other: the failure lies in
+    # [v1, 1hat], whose atoms v2 and v4 start two disjoint chains to 1hat
+    p = shellab.random_bounded_poset(4, 7, 0.4)
+    assert shellab.rao_pair_obstructions(p) == []
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(poset_to_json(p)))
+    assert run(["rao", *flags, str(path), "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witnesses"][kind]
+    assert witness == {"no_atom_order": ["v1", "1hat"], "constraint": []}
+    upper = shellab.build_poset(p.interval("v1", "1hat"),
+                                [c for c in p.covers if p.leq("v1", c[0])])
+    assert shellab.find_rao(upper) is None and shellab.find_grao(upper) is None

@@ -1,5 +1,6 @@
 """Property-based checks on randomly generated bounded posets."""
 
+import json
 import random
 
 import pytest
@@ -44,6 +45,7 @@ from conftest import (
     _classify_literal,
     _is_shelling_literal,
     _linear_extensions_literal,
+    _rao_literal,
     _relabel_literal,
     _rooted_intervals_literal,
     _sandwich_literal,
@@ -318,3 +320,14 @@ def test_graded_rao_implies_grao_and_shellable(p):
         if is_graded(p):
             assert find_grao(p) is not None
             assert brute_force_shellable(order_complex(p)) is not None
+
+
+@SETTINGS
+@given(st.builds(random_bounded_poset, seed=st.integers(min_value=0, max_value=10 ** 6),
+                 n=st.integers(min_value=2, max_value=11),
+                 edge_probability=st.floats(min_value=0.1, max_value=0.6)))
+def test_rao_and_grao_certificates_match_literal_oracle(p):
+    # byte-identical JSON, children in the same order; None where absent
+    for generalized, find in ((False, find_rao), (True, find_grao)):
+        found, literal = find(p), _rao_literal(p, generalized)
+        assert json.dumps(found and found.to_json()) == json.dumps(literal and literal.to_json())

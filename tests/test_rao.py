@@ -1,6 +1,7 @@
 import pytest
 
 from shellab import (
+    BudgetExceededError,
     MalformedCertificateError,
     RaoTree,
     brute_force_shellable,
@@ -162,3 +163,55 @@ def test_nonpure_repros_are_not_shellable(seed, n, prob):
 @pytest.mark.parametrize("seed, n, prob", _NOT_SHELLABLE)
 def test_nonpure_repros_have_no_rao(seed, n, prob):
     assert find_rao(random_bounded_poset(seed, n, prob)) is None
+
+
+def test_searches_keep_no_frame_per_element_or_atom():
+    # the recursive search needed two frames per chain element and one
+    # per placed atom, so both ended in RecursionError
+    chain = [f"c{i}" for i in range(2000)]
+    p = build_poset(chain, list(zip(chain, chain[1:])))
+    node = tree = find_rao(p)
+    for below, above in zip(chain, chain[1:-1]):
+        assert (node.bottom, node.atom_order) == (below, (above,))
+        node = node.children[above]
+    assert (node.bottom, node.atom_order, node.children) == (chain[-2], (chain[-1],), {})
+    assert verify_rao(p, tree)
+    atoms = [f"v{i}" for i in range(1500)]
+    p = build_poset(["0hat", *atoms, "1hat"],
+                    [("0hat", a) for a in atoms] + [(a, "1hat") for a in atoms])
+    for find, verify in ((find_rao, verify_rao), (find_grao, verify_grao)):
+        tree = find(p)
+        assert tree.atom_order == tuple(atoms)
+        assert verify(p, tree)
+
+
+def test_budget_counts_each_placement_once():
+    # 0hat < a_i < b_i < 1hat: one node per interval plus one per placement,
+    # and every placement at 0hat dead-ends at once; a search that replayed
+    # its placements after each child would count them again
+    n = 40
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    p = build_poset(["0hat", *a, *b, "1hat"],
+                    [("0hat", x) for x in a] + list(zip(a, b)) + [(y, "1hat") for y in b])
+    for find in (find_rao, find_grao):
+        assert find(p, budget=3 * n + 1) is None
+        with pytest.raises(BudgetExceededError) as err:
+            find(p, budget=3 * n)
+        assert err.value.diagnostics == {"nodes": 3 * n + 1, "budget": 3 * n}
+
+
+def test_verify_tells_a_missing_child_from_a_child_stored_as_none():
+    p = _boolean_lattice_3()
+    for make, verify in ((find_rao, verify_rao), (find_grao, verify_grao)):
+        tree = make(p)
+        del tree.children["1"].children["12"]  # a leaf may be left out
+        assert verify(p, tree)
+        tree.children["1"].children["12"] = None
+        with pytest.raises(MalformedCertificateError, match="node mismatch at '12'"):
+            verify(p, tree)
+        del tree.children["2"]
+        with pytest.raises(MalformedCertificateError, match="node mismatch at '12'"):
+            verify(p, tree)  # preorder: [1, 1hat] comes before the missing [2, 1hat]
+        tree.children["1"].children["12"] = make(p).children["1"].children["12"]
+        with pytest.raises(MalformedCertificateError, match="missing child certificate at '2'"):
+            verify(p, tree)
