@@ -101,6 +101,7 @@ class Report:
         self.witnesses = {}
         self.timings = {}
         self.lines = []
+        self.output = None
 
     def verdict(self, name, ok):
         self.verdicts[name] = bool(ok)
@@ -113,6 +114,12 @@ class Report:
 
     def line(self, text):
         self.lines.append(text)
+
+    def product(self, value, text=None):
+        """What the subcommand made, printed after the lines as `text`
+        (default: `value` as indented JSON), or under "output" in a JSON
+        report."""
+        self.output = value, text
 
     @property
     def ok(self):
@@ -127,10 +134,15 @@ class Report:
                 "witnesses": self.witnesses,
                 "timings": self.timings,
             }
+            if self.output is not None:
+                payload["output"] = self.output[0]
             print(json.dumps(payload, indent=2, sort_keys=False))
         else:
             for text in self.lines:
                 print(text)
+            if self.output is not None:
+                value, text = self.output
+                print(json.dumps(value, indent=2) if text is None else text)
             for name, ok in self.verdicts.items():
                 print(f"{name}: {'ok' if ok else 'FAIL'}")
                 if not ok and name in self.witnesses:
@@ -145,82 +157,6 @@ def _add_common(parser):
     parser.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     parser.add_argument("--lc-budget", type=int, default=DEFAULT_LC_BUDGET)
     parser.add_argument("--max-facets", type=int, default=9)
-
-
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="shellab",
-        description="Lexicographic shellability toolkit for finite bounded posets.",
-    )
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("chains", help="print maximal chains")
-    p.add_argument("poset")
-    p.add_argument("--rooted", nargs=2, metavar=("X", "Y"),
-                   help="restrict to the interval [X, Y]")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="verify a labeling kind")
-    p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("poset")
-    p.add_argument("labeling")
-    _add_common(p)
-
-    p = sub.add_parser("relabel", help="labeling from a maximal chain order")
-    p.add_argument("poset")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--order-from-labeling", metavar="LABELING")
-    g.add_argument("--order-file", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    _add_common(p)
-
-    p = sub.add_parser("rfas-check", help="validate a first atom set")
-    p.add_argument("poset")
-    p.add_argument("rfas")
-    p.add_argument("--rfas-ii-literal", action="store_true",
-                   help="use the one-step reading of the walk-back condition")
-    _add_common(p)
-
-    p = sub.add_parser("rfas-shell", help="shelling order from a first atom set")
-    p.add_argument("poset")
-    p.add_argument("rfas")
-    _add_common(p)
-
-    p = sub.add_parser("rfas-from-tcl", help="first atom set from a TCL-labeling")
-    p.add_argument("poset")
-    p.add_argument("labeling")
-    p.add_argument("--out", metavar="FILE")
-    _add_common(p)
-
-    p = sub.add_parser("lc-check", help="sandwich-free linear extension search")
-    p.add_argument("poset")
-    p.add_argument("rfas")
-    _add_common(p)
-
-    p = sub.add_parser("rao", help="recursive atom ordering search")
-    p.add_argument("poset")
-    p.add_argument("--grao", action="store_true")
-    p.add_argument("--certificate", metavar="FILE")
-    _add_common(p)
-
-    p = sub.add_parser("shelling-verify", help="verify a facet order")
-    p.add_argument("complex_or_poset")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--order-file", metavar="FILE")
-    g.add_argument("--from-labeling", metavar="LABELING")
-    g.add_argument("--from-rfas", metavar="RFAS")
-    _add_common(p)
-
-    p = sub.add_parser("corpus", help="list or dump built-in examples")
-    p.add_argument("name", nargs="?")
-    _add_common(p)
-
-    p = sub.add_parser("export-dot", help="Hasse diagram in DOT form")
-    p.add_argument("poset")
-    p.add_argument("--out", metavar="FILE")
-    _add_common(p)
-
-    return top
 
 
 def _cmd_chains(args, report):
@@ -256,13 +192,12 @@ def _cmd_relabel(args, report):
     else:
         with open(args.order_file) as fh:
             order = tuple(tuple(line.split()) for line in fh if line.strip())
-    out = relabel_from_order(poset, order, args.max_rooted_covers)
-    payload = json.dumps(labeling_to_json(out), indent=2)
+    table = labeling_to_json(relabel_from_order(poset, order, args.max_rooted_covers))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(json.dumps(table, indent=2) + "\n")
     else:
-        report.line(payload)
+        report.product(table)
     report.verdict("relabeled", True)
     report.timing("maximal_chains", len(order))
 
@@ -298,13 +233,12 @@ def _cmd_rfas_shell(args, report):
 def _cmd_rfas_from_tcl(args, report):
     poset = _resolve_poset(args.poset)
     lab = _resolve_labeling(poset, args.labeling, args.max_rooted_covers)
-    omega = rfas_from_tcl(poset, lab, args.max_rooted_covers)
-    payload = json.dumps(first_atom_set_to_json(omega), indent=2)
+    table = first_atom_set_to_json(rfas_from_tcl(poset, lab, args.max_rooted_covers))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(json.dumps(table, indent=2) + "\n")
     else:
-        report.line(payload)
+        report.product(table)
     report.verdict("rfas-from-tcl", True)
     report.timing("rooted_covers", rooted_cover_count(poset))
 
@@ -378,17 +312,17 @@ def _cmd_shelling_verify(args, report):
 def _cmd_corpus(args, report):
     if args.name:
         ex = corpus.load_named(args.name)
-        report.line(json.dumps({
+        report.product({
             "name": ex.name,
             "comment": ex.comment,
             "elements": len(ex.poset.elements),
             "covers": len(ex.poset.covers),
             "labelings": sorted(ex.labelings),
             "first_atom_sets": sorted(ex.first_atom_sets),
-        }, indent=2))
+        })
     else:
-        for name in corpus.names():
-            report.line(name)
+        names = corpus.names()
+        report.product(names, "\n".join(names))
     report.verdict("corpus", True)
 
 
@@ -399,35 +333,101 @@ def _cmd_export_dot(args, report):
         with open(args.out, "w") as fh:
             fh.write(dot)
     else:
-        report.line(dot.rstrip("\n"))
+        report.product(dot, dot.rstrip("\n"))
     report.verdict("exported", True)
 
 
+def _arg(*names, **options):
+    return names, options
+
+
+_POSET = _arg("poset")
+_OUT = _arg("--out", metavar="FILE")
+
+# name -> (help, function, arguments); a list of arguments is a required
+# mutually exclusive group.  Every subcommand also takes the _add_common flags.
 _COMMANDS = {
-    "chains": _cmd_chains,
-    "check": _cmd_check,
-    "relabel": _cmd_relabel,
-    "rfas-check": _cmd_rfas_check,
-    "rfas-shell": _cmd_rfas_shell,
-    "rfas-from-tcl": _cmd_rfas_from_tcl,
-    "lc-check": _cmd_lc_check,
-    "rao": _cmd_rao,
-    "shelling-verify": _cmd_shelling_verify,
-    "corpus": _cmd_corpus,
-    "export-dot": _cmd_export_dot,
+    "chains": ("print maximal chains", _cmd_chains, [
+        _POSET,
+        _arg("--rooted", nargs=2, metavar=("X", "Y"), help="restrict to the interval [X, Y]"),
+    ]),
+    "check": ("verify a labeling kind", _cmd_check, [
+        _arg("--kind", required=True, choices=KINDS), _POSET, _arg("labeling"),
+    ]),
+    "relabel": ("labeling from a maximal chain order", _cmd_relabel, [
+        _POSET,
+        [_arg("--order-from-labeling", metavar="LABELING"), _arg("--order-file", metavar="FILE")],
+        _OUT,
+    ]),
+    "rfas-check": ("validate a first atom set", _cmd_rfas_check, [
+        _POSET, _arg("rfas"),
+        _arg("--rfas-ii-literal", action="store_true",
+             help="use the one-step reading of the walk-back condition"),
+    ]),
+    "rfas-shell": ("shelling order from a first atom set", _cmd_rfas_shell, [
+        _POSET, _arg("rfas"),
+    ]),
+    "rfas-from-tcl": ("first atom set from a TCL-labeling", _cmd_rfas_from_tcl, [
+        _POSET, _arg("labeling"), _OUT,
+    ]),
+    "lc-check": ("sandwich-free linear extension search", _cmd_lc_check, [
+        _POSET, _arg("rfas"),
+    ]),
+    "rao": ("recursive atom ordering search", _cmd_rao, [
+        _POSET, _arg("--grao", action="store_true"), _arg("--certificate", metavar="FILE"),
+    ]),
+    "shelling-verify": ("verify a facet order", _cmd_shelling_verify, [
+        _arg("complex_or_poset"),
+        [_arg("--order-file", metavar="FILE"), _arg("--from-labeling", metavar="LABELING"),
+         _arg("--from-rfas", metavar="RFAS")],
+    ]),
+    "corpus": ("list or dump built-in examples", _cmd_corpus, [
+        _arg("name", nargs="?"),
+    ]),
+    "export-dot": ("Hasse diagram in DOT form", _cmd_export_dot, [
+        _POSET, _OUT,
+    ]),
 }
 
 
+def build_parser(command=None):
+    """The parser of every subcommand, or of `command` alone.  Both print
+    the same help and usage errors for `command`: alone, the usage line
+    still lists every subcommand."""
+    top = argparse.ArgumentParser(
+        prog="shellab",
+        description="Lexicographic shellability toolkit for finite bounded posets.",
+    )
+    sub = top.add_subparsers(dest="subcommand", required=True,
+                             metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        help_, _, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, options in argument:
+                    group.add_argument(*names, **options)
+            else:
+                names, options = argument
+                p.add_argument(*names, **options)
+        _add_common(p)
+    return top
+
+
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute; returns exit code."""
-    args = build_parser().parse_args(argv)
+    """Parse argv (without the program name) and execute; returns exit code.
+    Only the named subcommand's parser is built; any other argv goes to the
+    full parser, which prints the usage or the error."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     inputs = {
         k: v for k, v in sorted(vars(args).items())
         if k not in {"subcommand", "json"} and v is not None
     }
     report = Report(args.subcommand, inputs)
     try:
-        _COMMANDS[args.subcommand](args, report)
+        _COMMANDS[args.subcommand][1](args, report)
     except (ShellabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -435,15 +435,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    """Run the command line, flush the report and end the process at once:
+    interpreter teardown would only free what the op built.  Usage errors
+    and --help still leave through SystemExit."""
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # the reader closed the pipe early: point stdout at devnull so that
-        # the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed the pipe early; what is still buffered is dropped
         code = 1
-    sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

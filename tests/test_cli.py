@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import shellab
-from shellab.cli import run
+from shellab import cli
+from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
 
@@ -252,6 +254,140 @@ def test_corpus_listing(capsys):
     assert "fig8" in out
     assert run(["corpus", "fig5-Q"]) == 0
     assert "first_atom_sets" in capsys.readouterr().out
+
+
+def _indented(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, as_text", [
+    (["relabel", "corpus:fig2-P", "--order-from-labeling", "corpus:fig2-P/bold"], _indented),
+    (["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold"], _indented),
+    (["export-dot", "corpus:fig1"], str),
+    (["corpus"], lambda names: "".join(f"{name}\n" for name in names)),
+    (["corpus", "fig5-Q"], _indented),
+], ids=["relabel", "rfas-from-tcl", "export-dot", "corpus", "corpus-name"])
+def test_json_report_carries_the_product(capsys, argv, as_text):
+    # the text report prints the product, then its one verdict line; the
+    # JSON report carries the same product under "output"
+    assert run([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["command", "inputs", "verdicts", "witnesses", "timings", "output"]
+    (verdict,) = payload["verdicts"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == as_text(payload["output"]) + f"{verdict}: ok\n"
+
+
+def test_json_report_of_a_product_written_to_a_file_has_no_output(tmp_path, capsys):
+    out = tmp_path / "omega.json"
+    assert run(["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold", "--out", str(out),
+                "--json"]) == 0
+    assert "output" not in json.loads(capsys.readouterr().out)
+    assert "first_atoms" in json.loads(out.read_text())
+
+
+def _in_process(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+def _as_process(argv, cwd):
+    # stdout block-buffered, as by default, so that a lost flush shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(shellab.__file__))
+    with open(cwd / "stdout", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "shellab.cli", *argv], stdout=out,
+                              stderr=subprocess.PIPE, cwd=cwd, env=env)
+    return proc.returncode, (cwd / "stdout").read_bytes(), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--kind", "tcl", "corpus:fig3-Q", "corpus:fig3-Q/left", "--json"], 0),
+    (["check", "--kind", "el", "corpus:fig1", "corpus:fig1/middle", "--json"], 1),
+    (["relabel", "corpus:fig2-P", "--order-from-labeling", "corpus:fig2-P/bold",
+      "--out", "out.json"], 0),
+    (["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold", "--out", "out.json"], 0),
+    (["rao", "corpus:fig1", "--certificate", "out.json"], 0),
+    (["corpus"], 0),
+    (["rfas-check", "corpus:fig1", "missing.json"], 1),
+    (["check", "corpus:fig1"], 2),
+], ids=["check-ok", "check-fail", "relabel-out", "rfas-from-tcl-out", "rao-certificate",
+        "corpus", "input-error", "usage-error"])
+def test_process_output_equals_in_process_run(tmp_path, monkeypatch, capsys, argv, code):
+    # main() ends the process with os._exit once the report is flushed:
+    # nothing may be lost on the way, including a written --out file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    out = tmp_path / "out.json"
+    seen = []
+    for side in (lambda: _in_process(argv, capsys), lambda: _as_process(argv, tmp_path)):
+        seen.append((*side(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code
+    assert (seen[0][3] is not None) == ("out.json" in argv)
+    if code == 1 and "--json" not in argv:
+        assert seen[0][2].startswith(b"error: ")
+
+
+def _subparsers_made(monkeypatch):
+    made = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        made.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return made
+
+
+def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
+    made = _subparsers_made(monkeypatch)
+    assert run(["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold"]) == 0
+    assert made == ["check"]
+    made.clear()
+    build_parser()
+    assert len(made) == 11 and made == list(cli._COMMANDS)
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+# a complete argv for each subcommand; the files are never opened
+_VALID = {
+    "chains": ["p.json"], "check": ["--kind", "cc", "p.json", "l.json"],
+    "relabel": ["p.json", "--order-file", "o.txt"], "rfas-check": ["p.json", "r.json"],
+    "rfas-shell": ["p.json", "r.json"], "rfas-from-tcl": ["p.json", "l.json"],
+    "lc-check": ["p.json", "r.json"], "rao": ["p.json"],
+    "shelling-verify": ["c.json", "--order-file", "o.txt"], "corpus": [],
+    "export-dot": ["p.json"],
+}
+
+
+@pytest.mark.parametrize("name", list(_VALID))
+def test_subparser_alone_prints_what_the_full_parser_prints(monkeypatch, capsys, name):
+    assert set(_VALID) == set(cli._COMMANDS)
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, full = build_parser(name), build_parser()
+    assert _subparser(alone, name).format_help() == _subparser(full, name).format_help()
+    # a missing argument, a complete argv, and an unknown flag, which the
+    # top-level parser reports with its own usage line
+    for argv in ([name], [name, *_VALID[name]], [name, *_VALID[name], "--no-such-flag"]):
+        outcomes = []
+        for parser in (alone, full):
+            try:
+                result = parser.parse_args(argv)
+            except SystemExit as exc:
+                result = exc.code
+            outcomes.append((result, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_usage_error_exits_two():
