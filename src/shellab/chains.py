@@ -5,8 +5,9 @@ element x is a maximal chain of [bottom, x]; it contains both the bottom
 element and x.  All enumerations are deterministic: they follow the canonical
 element order of the poset.
 
-Every root is stored once, as a node of the poset's RootTrie; the tuple form
-of a root is built only where a public function returns it.
+Every root is stored once, as a node of the poset's RootTrie, and the
+chains of one interval come from a RootTrie grown over that interval; the
+tuple form of a chain is built only where a public function returns it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .errors import BudgetExceededError, InvalidIntervalError, InvalidRootError
 from .poset import Poset
 
 DEFAULT_ROOTED_COVER_BUDGET = 10_000
-
-Chain = tuple
 
 
 class RootTrie:
@@ -31,19 +30,29 @@ class RootTrie:
     hence node order is the lexicographic order of the roots and the subtree
     of v is the id range [v, end[v]).  depth[v] is the number of covers on
     the root of v.
+
+    With x and y given, the trie holds the saturated chains of [x, y] that
+    start at x instead: node 0 is (x,), children are the covers below y, and
+    nodes_of has the elements of [x, y] only.
     """
 
     __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_chains", "_index")
 
-    def __init__(self, poset: Poset):
+    def __init__(self, poset: Poset, x=None, y=None):
         # preorder DFS: children are pushed reversed so they pop in order
-        rev_up = {e: ws[::-1] for e, ws in poset.up.items()}
-        elem, parent = [], []
-        stack, parents = [poset.bottom], [-1]
+        if x is None:
+            x, rev_up = poset.bottom, {e: ws[::-1] for e, ws in poset.up.items()}
+        else:
+            down_y = poset.downset(y)
+            rev_up = {e: [w for w in reversed(poset.up[e]) if w in down_y]
+                      for e in poset.upset(x) & down_y}
+        elem, parent, nodes_of = [], [], {e: [] for e in rev_up}
+        stack, parents = [x], [-1]
         while stack:
             e = stack.pop()
             v = len(elem)
             elem.append(e)
+            nodes_of[e].append(v)
             parent.append(parents.pop())
             stack.extend(rev_up[e])
             parents.extend([v] * len(rev_up[e]))
@@ -58,9 +67,7 @@ class RootTrie:
         self.parent = parent
         self.depth = depth
         self.end = [v + s for v, s in enumerate(size)]
-        self.nodes_of = {e: [] for e in poset.elements}
-        for v, e in enumerate(elem):
-            self.nodes_of[e].append(v)
+        self.nodes_of = nodes_of
         self._chains = None
         self._index = None
 
@@ -169,26 +176,9 @@ def interval_chains(poset: Poset, x, y) -> tuple:
     Returns the one-element chain (x,) when x == y.  Raises
     InvalidIntervalError when x or y is not an element or x is not below y.
     """
-    cached = poset._chain_cache.get((x, y))
-    if cached is not None:
-        return cached
     check_interval(poset, x, y)
-    down_y = poset.downset(y)
-    out = []
-    stack = [(x,)]
-    while stack:
-        chain = stack.pop()
-        z = chain[-1]
-        if z == y:
-            out.append(chain)
-            continue
-        # push in reverse canonical order so chains pop lexicographically
-        for w in reversed(poset.up[z]):
-            if w in down_y:
-                stack.append(chain + (w,))
-    result = tuple(out)
-    poset._chain_cache[(x, y)] = result
-    return result
+    trie = RootTrie(poset, x, y)
+    return tuple(trie.chain(v) for v in trie.nodes_of[y])
 
 
 def roots(poset: Poset, x) -> tuple:

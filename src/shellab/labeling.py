@@ -165,9 +165,6 @@ class _Verifier:
     label pair) on the root of v starts, or -1: a chain from node g up to
     node v is topologically ascending iff last_descent[v] < depth[g], and
     strictly increasing iff last_nonincrease[v] < depth[g].
-
-    The tuple-argument methods take a root ending at the chain's first
-    element, as the module's public functions do.
     """
 
     def __init__(self, lab: CELabeling, poset: Poset,
@@ -227,14 +224,6 @@ class _Verifier:
         """The chains from node g up to each node of ds, as tuples."""
         dg = self.trie.depth[g]
         return tuple(self.trie.chain(d)[dg:] for d in ds)
-
-    def seq(self, root, chain):
-        nodes = self.trie.resolve(root, chain)
-        return self.path[nodes[-1]][self.trie.depth[nodes[0]]:]
-
-    def chain_is_ascending(self, root, chain) -> bool:
-        nodes = self.trie.resolve(root, chain)
-        return self.last_descent[nodes[-1]] < self.trie.depth[nodes[0]]
 
 
 def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:

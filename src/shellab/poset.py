@@ -2,8 +2,7 @@
 
 Elements are opaque identifiers (strings in files).  The canonical element
 order is the input order; every enumeration downstream derives its
-determinism from it.  Poset values are immutable after construction and all
-operations here are pure functions.
+determinism from it.  All operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -18,13 +17,15 @@ class Poset:
     """A finite bounded poset given by elements and cover relations.
 
     Construction validates the data (see :func:`build_poset`, the public
-    factory) and computes the order closures in the same pass.
+    factory) and derives the rest in one topological pass: the order
+    closures, the chain count of each [bottom, x] and the chain lengths.
+    The only field set afterwards is `_root_trie`, the RootTrie that
+    `chains.root_trie` builds once its budget check passes.
     """
 
     __slots__ = (
         "elements", "covers", "index", "up", "down", "bottom", "top",
-        "_order", "_upset", "_downset", "_path_counts", "_lmin", "_lmax",
-        "_chain_cache", "_root_trie",
+        "_upset", "_downset", "_path_counts", "_length", "_graded", "_root_trie",
     )
 
     def __init__(self, elements, covers):
@@ -84,15 +85,18 @@ class Poset:
         self.down = {e: tuple(sorted(vs, key=key)) for e, vs in down.items()}
         self.bottom, = minima
         self.top, = maxima
-        self._order = order
         self._upset = upset
         self._downset = downset = {}
+        counts, lmin, lmax = {}, {}, {}  # per [bottom, e]: chains, shortest, longest
         for e in order:
-            downset[e] = frozenset().union((e,), *map(downset.__getitem__, down[e]))
-        self._path_counts = None
-        self._lmin = None
-        self._lmax = None
-        self._chain_cache = {}
+            below = down[e]
+            downset[e] = frozenset().union((e,), *map(downset.__getitem__, below))
+            counts[e] = sum(map(counts.__getitem__, below)) or 1
+            lmin[e] = 1 + min(map(lmin.__getitem__, below)) if below else 0
+            lmax[e] = 1 + max(map(lmax.__getitem__, below)) if below else 0
+        self._path_counts = counts
+        self._length = lmax[self.top]
+        self._graded = lmin[self.top] == self._length
         self._root_trie = None
 
     # -- order queries -------------------------------------------------
@@ -129,28 +133,11 @@ class Poset:
 
     def path_count(self, x):
         """Number of maximal chains of [bottom, x]."""
-        if self._path_counts is None:
-            counts = {}
-            for e in self._order:
-                counts[e] = 1 if e == self.bottom else sum(counts[d] for d in self.down[e])
-            self._path_counts = counts
         return self._path_counts[x]
-
-    def _chain_lengths(self):
-        if self._lmin is None:
-            lmin, lmax = {}, {}
-            for e in self._order:
-                if e == self.bottom:
-                    lmin[e] = lmax[e] = 0
-                else:
-                    lmin[e] = 1 + min(lmin[d] for d in self.down[e])
-                    lmax[e] = 1 + max(lmax[d] for d in self.down[e])
-            self._lmin, self._lmax = lmin, lmax
-        return self._lmin, self._lmax
 
     def length(self):
         """Length of the longest chain (bottom to top)."""
-        return self._chain_lengths()[1][self.top]
+        return self._length
 
     def __eq__(self, other):
         return (
@@ -178,8 +165,7 @@ def build_poset(elements, covers) -> Poset:
 
 def is_graded(poset: Poset) -> bool:
     """True iff every maximal bottom-to-top chain has the same length."""
-    lmin, lmax = poset._chain_lengths()
-    return lmin[poset.top] == lmax[poset.top]
+    return poset._graded
 
 
 def dual(poset: Poset) -> Poset:

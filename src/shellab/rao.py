@@ -9,7 +9,6 @@ two-atom prefix.
 
 from __future__ import annotations
 
-from ._record import Record
 from .errors import BudgetExceededError, MalformedCertificateError
 from .poset import Poset
 from .shelling import _orderings
@@ -17,34 +16,62 @@ from .shelling import _orderings
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 
-class RaoTree(Record):
+class RaoTree:
     """Certificate: an atom order for [bottom, top] plus child certificates.
 
     Children are keyed by atom; intervals whose longest chain has length one
-    are leaves.
+    are leaves.  A certificate is as deep as the longest chain, so nothing
+    here recurses: two certificates are equal when they write the same JSON,
+    and the repr names the children's atoms only.
     """
-
-    _fields = ("bottom", "atom_order", "children")
 
     def __init__(self, bottom, atom_order, children=None):
         self.bottom = bottom
         self.atom_order = atom_order
         self.children = {} if children is None else children
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __repr__(self):
+        children = ", ".join(f"{a!r}: ..." for a in self.children)
+        return (f"RaoTree(bottom={self.bottom!r}, atom_order={self.atom_order!r}, "
+                f"children={{{children}}})")
+
     def to_json(self):
-        return {
-            "bottom": self.bottom,
-            "atom_order": list(self.atom_order),
-            "children": {a: t.to_json() for a, t in self.children.items()},
-        }
+        """``{"certificate": [{"root": [...], "atom_order": [...]}, ...]}``:
+        one entry per node, in preorder, with the children of a node in its
+        atom order.  A root runs from this tree's bottom to the node's."""
+        entries, stack = [], [((self.bottom,), self)]
+        while stack:
+            root, tree = stack.pop()
+            entries.append({"root": list(root), "atom_order": list(tree.atom_order)})
+            stack.extend((root + (a,), tree.children[a])
+                         for a in reversed(tree.atom_order) if a in tree.children)
+        return {"certificate": entries}
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            bottom=data["bottom"],
-            atom_order=tuple(data["atom_order"]),
-            children={a: cls.from_json(t) for a, t in data["children"].items()},
-        )
+        """Read what to_json writes.  Raises MalformedCertificateError for
+        another shape, and for an entry after the first whose root does not
+        extend an earlier entry's root by one of that entry's atoms."""
+        try:
+            entries = [(tuple(e["root"]), tuple(e["atom_order"])) for e in data["certificate"]]
+            trees = {}
+            for root, order in entries:
+                parent = trees.get(root[:-1])
+                if trees and (parent is None or root[-1] not in parent.atom_order or root in trees):
+                    raise MalformedCertificateError(
+                        f"root {list(root)!r} does not extend an earlier root by one of its atoms")
+                trees[root] = cls(root[-1], order)
+                if parent is not None:
+                    parent.children[root[-1]] = trees[root]
+            return trees[entries[0][0]]
+        except (TypeError, KeyError, IndexError):
+            raise MalformedCertificateError(
+                'a certificate is a "certificate" list of "root" and "atom_order" entries') from None
 
 
 def _pair_witness(poset: Poset, a, placed):

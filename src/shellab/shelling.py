@@ -10,7 +10,6 @@ R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -71,9 +70,6 @@ class OrderComplex(Record):
     def euler_characteristic(self) -> int:
         """Unreduced Euler characteristic by direct face enumeration."""
         return sum((-1) ** (len(face) - 1) for face in self.faces())
-
-    def dimension(self) -> int:
-        return max(len(f) for f in self.facets) - 1
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -351,8 +347,3 @@ def complex_from_json(data: dict) -> OrderComplex:
     except TypeError as exc:  # an unhashable vertex, or strings mixed with numbers
         raise InvalidInputError(f"unusable facet vertices: {exc}") from None
     return OrderComplex(vertices, facets)
-
-
-def load_complex(path) -> OrderComplex:
-    with open(path) as fh:
-        return complex_from_json(json.load(fh))

@@ -401,12 +401,72 @@ def test_grao_flag(capsys):
 
 
 def test_rao_certificate_roundtrip(tmp_path):
-    from shellab import RaoTree, verify_rao
+    from shellab import RaoTree, find_grao, verify_grao
 
     out = tmp_path / "cert.json"
-    assert run(["rao", "corpus:fig1", "--certificate", str(out)]) == 0
-    tree = RaoTree.from_json(json.loads(out.read_text()))
-    assert verify_rao(load_named("fig1").poset, tree)
+    assert run(["rao", "corpus:fig1", "--grao", "--certificate", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert list(data) == ["certificate"]
+    assert data["certificate"][0] == {"root": ["0hat"], "atom_order": ["a", "b"]}
+    tree = RaoTree.from_json(data)
+    assert tree == find_grao(load_named("fig1").poset)
+    assert verify_grao(load_named("fig1").poset, tree)
+
+
+def test_rao_certificate_of_a_long_chain_ends_without_traceback(tmp_path):
+    # writing the nested certificate recursed once per chain element
+    from shellab import RaoTree, verify_rao
+
+    chain = [f"c{i}" for i in range(600)]
+    poset = shellab.build_poset(chain, list(zip(chain, chain[1:])))
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "shellab.cli", "rao", "poset.json",
+                           "--certificate", "cert.json"],
+                          capture_output=True, cwd=tmp_path, env=env, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "rao: ok" in proc.stdout
+    tree = RaoTree.from_json(json.loads((tmp_path / "cert.json").read_text()))
+    assert verify_rao(poset, tree)
+
+
+_LC_CHECK_FIG8 = """\
+{
+  "command": "lc-check",
+  "inputs": {
+    "lc_budget": 1000000,
+    "max_facets": 9,
+    "max_rooted_covers": 10000,
+    "poset": "corpus:fig8",
+    "rfas": "corpus:fig8/omega",
+    "search_budget": 1000000
+  },
+  "verdicts": {
+    "lc-extension": false
+  },
+  "witnesses": {},
+  "timings": {
+    "maximal_chains": 26
+  }
+}
+"""
+
+
+def test_lc_check_json_report_is_pinned(capsys):
+    assert run(["lc-check", "corpus:fig8", "corpus:fig8/omega", "--json"]) == 1
+    assert capsys.readouterr().out == _LC_CHECK_FIG8
+
+
+def test_lc_check_reports_the_maximal_chain_count(tmp_path, capsys):
+    omega = str(tmp_path / "omega.json")
+    assert run(["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold", "--out", omega]) == 0
+    capsys.readouterr()
+    assert run(["lc-check", "corpus:fig2-P", omega, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    count = len(shellab.maximal_chains(load_named("fig2-P").poset))
+    assert report["timings"] == {"maximal_chains": count}
+    assert len(report["witnesses"]["order"]) == count
 
 
 def test_closed_stdout_pipe_ends_without_traceback():

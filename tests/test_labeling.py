@@ -107,17 +107,16 @@ def test_implication_chain_on_corpus(fig1, fig2, fig3):
 
 
 def test_ascending_chain_is_lex_least(fig2):
+    from conftest import _chain_is_ascending_literal
     from shellab.chains import interval_chains, rooted_intervals
-    from shellab.labeling import _Verifier
 
     p, bold = fig2.poset, fig2.labeling("bold")
-    ver = _Verifier(bold, p)
     for r, x, y in rooted_intervals(p):
         chains = interval_chains(p, x, y)
-        ascending = [c for c in chains if ver.chain_is_ascending(r, c)]
+        ascending = [c for c in chains if _chain_is_ascending_literal(bold, p, r, c)]
         assert len(ascending) == 1
-        best = min(ver.seq(r, c) for c in chains)
-        assert ver.seq(r, ascending[0]) == best
+        best = min(label_sequence(bold, r, c) for c in chains)
+        assert label_sequence(bold, r, ascending[0]) == best
 
 
 def test_descent_set_chain_poset(chain3):

@@ -1,4 +1,4 @@
-"""No function of the package lies on a call cycle, except the few listed below.
+"""No function of the package lies on a call cycle, except those listed below.
 
 A search that recurses once per placed item or per chain element ends in
 RecursionError on large inputs; the ordering searches use the explicit
@@ -21,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "shellab"
 
 # module.qualname -> why its recursion is bounded
 ALLOWED = {
-    "rao.RaoTree.to_json": "a certificate nests one level per atom of a chain",
-    "rao.RaoTree.from_json": "reads what to_json writes, one level per atom of a chain",
     "cli._witness_jsonable": "witness payloads nest a fixed few levels deep",
 }
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -8,11 +9,14 @@ from shellab import (
     RedundantCoverError,
     build_poset,
     dual,
+    interval_chains,
     is_graded,
+    order_complex,
     ordinal_sum,
     poset_from_json,
     poset_to_json,
     random_bounded_poset,
+    rooted_interval_count,
     to_dot,
 )
 from conftest import bfs_reachable
@@ -153,3 +157,20 @@ def test_poset_from_json_accepts_tuple_pairs():
     data = {"elements": ("0", "a", "1"), "covers": [("0", "a"), ["a", "1"]]}
     p = poset_from_json(data)
     assert list(p.covers) == [("0", "a"), ("a", "1")]
+
+
+def test_queries_leave_every_derived_field_as_construction_set_it(fig2):
+    # Poset derives its tables in __init__; only the budgeted RootTrie cache
+    # may be set later
+    p = fig2.poset
+    slots = [s for s in type(p).__slots__ if s != "_root_trie"]
+    before = {s: copy.deepcopy(getattr(p, s)) for s in slots}
+    for x, y in [(p.bottom, p.top), ("0hat", "c2"), ("a1", "a1")]:
+        interval_chains(p, x, y)
+    for x in p.elements:
+        p.path_count(x)
+    p.length()
+    is_graded(p)
+    rooted_interval_count(p)
+    order_complex(p, ("0hat", "c2"))
+    assert {s: getattr(p, s) for s in slots} == before

@@ -19,6 +19,7 @@ from shellab import (
     dual,
     find_grao,
     find_rao,
+    interval_chains,
     is_graded,
     is_shelling,
     maximal_chains,
@@ -39,6 +40,7 @@ from shellab import corpus
 from shellab.chains import roots
 from shellab.labeling import KINDS
 from conftest import (
+    _canonical_paths,
     _chain_order_dag_literal,
     _check_lc_literal,
     _check_rfas_literal,
@@ -90,6 +92,30 @@ def test_antisymmetry(p):
 def test_dual_involution_and_gradedness(p):
     assert dual(dual(p)) == p
     assert is_graded(p) == is_graded(dual(p))
+
+
+def _assert_chains_match_path_dfs(p):
+    """interval_chains in exact order, and the chain tables Poset builds at
+    construction, against cover paths found by a plain DFS."""
+    for x in p.elements:
+        for y in p.elements:
+            if p.leq(x, y):
+                assert interval_chains(p, x, y) == tuple(_canonical_paths(p, x, y))
+        assert p.path_count(x) == len(brute_paths(p.covers, p.bottom, x))
+    lengths = {len(c) - 1 for c in brute_paths(p.covers, p.bottom, p.top)}
+    assert p.length() == max(lengths)
+    assert is_graded(p) == (len(lengths) == 1)
+
+
+@SETTINGS
+@given(posets)
+def test_interval_chains_and_chain_tables_match_path_dfs(p):
+    _assert_chains_match_path_dfs(p)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_corpus_interval_chains_and_chain_tables_match_path_dfs(name):
+    _assert_chains_match_path_dfs(corpus.load_named(name).poset)
 
 
 @SETTINGS

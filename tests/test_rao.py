@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from shellab import (
@@ -28,7 +30,8 @@ def _boolean_lattice_3():
 def _swap_child_order(tree, atom):
     """The certificate with the atom order of one child reversed."""
     data = tree.to_json()
-    data["children"][atom]["atom_order"].reverse()
+    entry = next(e for e in data["certificate"] if e["root"] == [tree.bottom, atom])
+    entry["atom_order"].reverse()
     return RaoTree.from_json(data)
 
 
@@ -145,6 +148,64 @@ def test_verify_grao_rejects_unmarked_first_atom():
     tree = find_grao(p)
     assert verify_grao(p, tree)
     assert not verify_grao(p, _swap_child_order(tree, "2"))
+
+
+def _entries_literal(tree, root):
+    """The certificate entries of `tree` by plain recursion: the node, then
+    each child in atom order."""
+    yield {"root": list(root), "atom_order": list(tree.atom_order)}
+    for a in tree.atom_order:
+        if a in tree.children:
+            yield from _entries_literal(tree.children[a], root + (a,))
+
+
+def test_certificate_json_lists_the_nodes_in_preorder():
+    p = _boolean_lattice_3()
+    for tree in (find_rao(p), find_grao(p)):
+        data = tree.to_json()
+        assert data == {"certificate": list(_entries_literal(tree, ("0hat",)))}
+        assert data["certificate"][:3] == [
+            {"root": ["0hat"], "atom_order": ["1", "2", "3"]},
+            {"root": ["0hat", "1"], "atom_order": list(tree.children["1"].atom_order)},
+            {"root": ["0hat", "1", tree.children["1"].atom_order[0]], "atom_order": ["1hat"]},
+        ]
+        assert RaoTree.from_json(json.loads(json.dumps(data))) == tree
+        assert verify_rao(p, RaoTree.from_json(data)) == verify_rao(p, tree)
+
+
+@pytest.mark.parametrize("data", [
+    [], {}, {"certificate": []}, {"certificate": ["0hat"]},
+    {"certificate": [{"root": ["0hat"]}]},
+    {"certificate": [{"root": [], "atom_order": []}]},
+    {"certificate": [{"root": ["0hat"], "atom_order": ["a"]}, {"root": ["a"], "atom_order": []}]},
+    {"certificate": [{"root": ["0hat"], "atom_order": ["a"]},
+                     {"root": ["0hat", "b"], "atom_order": []}]},
+    {"certificate": [{"root": ["0hat"], "atom_order": ["a"]},
+                     {"root": ["0hat", "a", "1hat"], "atom_order": []}]},
+    {"certificate": [{"root": ["0hat"], "atom_order": ["a"]},
+                     {"root": ["0hat", "a"], "atom_order": []},
+                     {"root": ["0hat", "a"], "atom_order": []}]},
+    {"certificate": [{"root": ["0hat"], "atom_order": ["a"]},
+                     {"root": ["0hat", ["a"]], "atom_order": []}]},
+], ids=["list", "no-key", "empty", "not-an-object", "no-order", "empty-root", "other-bottom",
+        "not-an-atom", "skips-a-level", "repeated", "unhashable"])
+def test_from_json_rejects_a_malformed_certificate(data):
+    with pytest.raises(MalformedCertificateError):
+        RaoTree.from_json(data)
+
+
+def test_a_certificate_as_deep_as_a_long_chain_compares_prints_and_round_trips():
+    # equality and repr recursed through the children, one level per element
+    chain = [f"c{i}" for i in range(600)]
+    p = build_poset(chain, list(zip(chain, chain[1:])))
+    tree = find_rao(p)
+    assert tree == find_rao(p)
+    assert tree != find_rao(build_poset(chain[:-1], list(zip(chain, chain[1:-1]))))
+    assert repr(tree) == "RaoTree(bottom='c0', atom_order=('c1',), children={'c1': ...})"
+    data = tree.to_json()
+    assert len(data["certificate"]) == 599
+    assert data["certificate"][-1] == {"root": chain[:-1], "atom_order": [chain[-1]]}
+    assert RaoTree.from_json(data) == tree
 
 
 # nonpure posets on which the RAO search and verifier accept a certificate
