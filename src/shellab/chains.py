@@ -36,16 +36,16 @@ class RootTrie:
     nodes_of has the elements of [x, y] only.
     """
 
-    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_chains", "_index")
+    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_upset", "_chains", "_index")
 
     def __init__(self, poset: Poset, x=None, y=None):
         # preorder DFS: children are pushed reversed so they pop in order
+        upset = poset._upset
         if x is None:
             x, rev_up = poset.bottom, {e: ws[::-1] for e, ws in poset.up.items()}
         else:
-            down_y = poset.downset(y)
-            rev_up = {e: [w for w in reversed(poset.up[e]) if w in down_y]
-                      for e in poset.upset(x) & down_y}
+            rev_up = {e: [w for w in reversed(poset.up[e]) if y in upset[w]]
+                      for e in upset[x] if y in upset[e]}
         elem, parent, nodes_of = [], [], {e: [] for e in rev_up}
         stack, parents = [x], [-1]
         while stack:
@@ -68,6 +68,7 @@ class RootTrie:
         self.depth = depth
         self.end = [v + s for v, s in enumerate(size)]
         self.nodes_of = nodes_of
+        self._upset = upset
         self._chains = None
         self._index = None
 
@@ -105,12 +106,12 @@ class RootTrie:
             c = end[c]
         return c if c < end[v] else None
 
-    def below(self, g, down) -> list:
-        """The children of g whose elements lie in down, the down-set of some
-        y: the atoms of the interval [elem[g], y]."""
-        end, elem, c, out = self.end, self.elem, g + 1, []
+    def below(self, g, y) -> list:
+        """The children of g whose elements are at most y: the atoms of the
+        interval [elem[g], y]."""
+        end, elem, upset, c, out = self.end, self.elem, self._upset, g + 1, []
         while c < end[g]:
-            if elem[c] in down:
+            if y in upset[elem[c]]:
                 out.append(c)
             c = end[c]
         return out

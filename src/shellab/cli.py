@@ -17,6 +17,7 @@ from functools import partial
 from . import corpus
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
+    ensure_budget,
     interval_chains,
     maximal_chains,
     rooted_cover_count,
@@ -83,14 +84,6 @@ def _chain_str(chain):
     return " ".join(chain)
 
 
-def _witness_jsonable(value):
-    if isinstance(value, (list, tuple, frozenset, set)):
-        return [_witness_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _witness_jsonable(v) for k, v in value.items()}
-    return value
-
-
 class Report:
     """Accumulates verdicts and witnesses with a stable field order."""
 
@@ -107,7 +100,8 @@ class Report:
         self.verdicts[name] = bool(ok)
 
     def witness(self, name, payload):
-        self.witnesses[name] = _witness_jsonable(payload)
+        # tuples and sets become lists; every witness key is a string
+        self.witnesses[name] = json.loads(json.dumps(payload, default=list))
 
     def timing(self, name, count):
         self.timings[name] = count
@@ -118,8 +112,12 @@ class Report:
     def product(self, value, text=None):
         """What the subcommand made, printed after the lines as `text`
         (default: `value` as indented JSON), or under "output" in a JSON
-        report."""
+        report; `run` writes the text to --out instead when that is given."""
         self.output = value, text
+
+    def product_text(self):
+        value, text = self.output
+        return json.dumps(value, indent=2) if text is None else text
 
     @property
     def ok(self):
@@ -141,8 +139,7 @@ class Report:
             for text in self.lines:
                 print(text)
             if self.output is not None:
-                value, text = self.output
-                print(json.dumps(value, indent=2) if text is None else text)
+                print(self.product_text())
             for name, ok in self.verdicts.items():
                 print(f"{name}: {'ok' if ok else 'FAIL'}")
                 if not ok and name in self.witnesses:
@@ -192,12 +189,7 @@ def _cmd_relabel(args, report):
     else:
         with open(args.order_file) as fh:
             order = tuple(tuple(line.split()) for line in fh if line.strip())
-    table = labeling_to_json(relabel_from_order(poset, order, args.max_rooted_covers))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(table, indent=2) + "\n")
-    else:
-        report.product(table)
+    report.product(labeling_to_json(relabel_from_order(poset, order, args.max_rooted_covers)))
     report.verdict("relabeled", True)
     report.timing("maximal_chains", len(order))
 
@@ -233,12 +225,7 @@ def _cmd_rfas_shell(args, report):
 def _cmd_rfas_from_tcl(args, report):
     poset = _resolve_poset(args.poset)
     lab = _resolve_labeling(poset, args.labeling, args.max_rooted_covers)
-    table = first_atom_set_to_json(rfas_from_tcl(poset, lab, args.max_rooted_covers))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(table, indent=2) + "\n")
-    else:
-        report.product(table)
+    report.product(first_atom_set_to_json(rfas_from_tcl(poset, lab, args.max_rooted_covers)))
     report.verdict("rfas-from-tcl", True)
     report.timing("rooted_covers", rooted_cover_count(poset))
 
@@ -260,6 +247,9 @@ def _cmd_lc_check(args, report):
 
 def _cmd_rao(args, report):
     poset = _resolve_poset(args.poset)
+    if args.certificate:
+        # the file has at most one entry per RootTrie node
+        ensure_budget(poset, args.max_rooted_covers)
     search = _Search(poset, args.grao, args.search_budget)
     tree = search.search(poset.bottom, frozenset())
     kind = "grao" if args.grao else "rao"
@@ -329,11 +319,7 @@ def _cmd_corpus(args, report):
 def _cmd_export_dot(args, report):
     poset = _resolve_poset(args.poset)
     dot = to_dot(poset)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dot)
-    else:
-        report.product(dot, dot.rstrip("\n"))
+    report.product(dot, dot.rstrip("\n"))
     report.verdict("exported", True)
 
 
@@ -428,6 +414,10 @@ def run(argv) -> int:
     report = Report(args.subcommand, inputs)
     try:
         _COMMANDS[args.subcommand][1](args, report)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(report.product_text() + "\n")
+            report.output = None
     except (ShellabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

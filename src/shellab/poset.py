@@ -17,15 +17,16 @@ class Poset:
     """A finite bounded poset given by elements and cover relations.
 
     Construction validates the data (see :func:`build_poset`, the public
-    factory) and derives the rest in one topological pass: the order
-    closures, the chain count of each [bottom, x] and the chain lengths.
+    factory) and derives the rest in one topological pass: the up-set of
+    each element, the chain count of each [bottom, x] and the chain lengths.
+    The order is kept as up-sets only: "a <= y" is `y in upset(a)`.
     The only field set afterwards is `_root_trie`, the RootTrie that
     `chains.root_trie` builds once its budget check passes.
     """
 
     __slots__ = (
         "elements", "covers", "index", "up", "down", "bottom", "top",
-        "_upset", "_downset", "_path_counts", "_length", "_graded", "_root_trie",
+        "_upset", "_path_counts", "_length", "_graded", "_root_trie",
     )
 
     def __init__(self, elements, covers):
@@ -86,11 +87,9 @@ class Poset:
         self.bottom, = minima
         self.top, = maxima
         self._upset = upset
-        self._downset = downset = {}
         counts, lmin, lmax = {}, {}, {}  # per [bottom, e]: chains, shortest, longest
         for e in order:
             below = down[e]
-            downset[e] = frozenset().union((e,), *map(downset.__getitem__, below))
             counts[e] = sum(map(counts.__getitem__, below)) or 1
             lmin[e] = 1 + min(map(lmin.__getitem__, below)) if below else 0
             lmax[e] = 1 + max(map(lmax.__getitem__, below)) if below else 0
@@ -113,11 +112,14 @@ class Poset:
         return self._upset[a]
 
     def downset(self, a):
-        return self._downset[a]
+        """All b with b <= a, as a frozenset built on demand."""
+        upset = self._upset
+        return frozenset(b for b in self.elements if a in upset[b])
 
     def interval(self, x, y):
         """Elements of [x, y], sorted canonically."""
-        members = self.upset(x) & self.downset(y)
+        upset = self._upset
+        members = [e for e in upset[x] if y in upset[e]]
         return tuple(sorted(members, key=self.index.__getitem__))
 
     def atoms(self):
@@ -128,8 +130,8 @@ class Poset:
 
     def atoms_of(self, x, y):
         """Atoms of the interval [x, y]: covers of x that are below y."""
-        down_y = self._downset[y]
-        return tuple(v for v in self.up[x] if v in down_y)
+        upset = self._upset
+        return tuple(v for v in self.up[x] if y in upset[v])
 
     def path_count(self, x):
         """Number of maximal chains of [bottom, x]."""

@@ -80,7 +80,7 @@ class FirstAtomSet:
             explicit[(g, y)] = atom
         table = {}
         for g, x, y in rooted_interval_nodes(poset, trie):
-            atoms = trie.below(g, poset.downset(y))
+            atoms = trie.below(g, y)
             if (g, y) in explicit:
                 atom = explicit[(g, y)]
                 c = next((c for c in atoms if trie.elem[c] == atom), None)
@@ -169,7 +169,7 @@ def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
     elem, table = trie.elem, omega.table
     violations = []
     for g, x, y in rooted_interval_nodes(poset, trie):
-        atoms = trie.below(g, poset.downset(y))
+        atoms = trie.below(g, y)
         first = table[(g, y)]
         for c in atoms:
             a = elem[c]
@@ -494,7 +494,7 @@ def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
     entries = [
         {"root": list(trie.chain(g)), "x": x, "y": y, "atom": trie.elem[omega.table[(g, y)]]}
         for g, x, y in rooted_interval_nodes(poset, trie)
-        if len(trie.below(g, poset.downset(y))) > 1
+        if len(trie.below(g, y)) > 1
     ]
     return {"first_atoms": entries, "default": "leftmost"}
 

@@ -103,7 +103,6 @@ def order_complex(poset: Poset, interval=None) -> OrderComplex:
     stripped of both endpoints; the full complex keeps the bounds (and is
     therefore a double cone).
     """
-    key = poset.index.__getitem__
     if interval is None:
         facets = [frozenset(c) for c in maximal_chains(poset)]
         vertices = tuple(poset.elements)
@@ -112,15 +111,9 @@ def order_complex(poset: Poset, interval=None) -> OrderComplex:
     inner = [e for e in poset.interval(x, y) if e not in (x, y)]
     if not inner:
         raise EmptyIntervalError(f"open interval ({x!r}, {y!r}) is empty")
-    facets = []
-    seen = set()
-    for c in interval_chains(poset, x, y):
-        facet = frozenset(c[1:-1])
-        if facet not in seen:
-            seen.add(facet)
-            facets.append(facet)
-    vertices = tuple(sorted(inner, key=key))
-    return OrderComplex(vertices, tuple(facets))
+    # distinct maximal chains of [x, y] have distinct interiors
+    facets = tuple(frozenset(c[1:-1]) for c in interval_chains(poset, x, y))
+    return OrderComplex(tuple(inner), facets)
 
 
 class ShellingResult(Record):

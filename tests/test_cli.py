@@ -431,6 +431,32 @@ def test_rao_certificate_of_a_long_chain_ends_without_traceback(tmp_path):
     assert verify_rao(poset, tree)
 
 
+def test_rao_certificate_is_bounded_by_the_rooted_cover_budget(tmp_path, capsys):
+    # the file has one entry per root reached, doubling with every diamond
+    diamond = shellab.build_poset(["0", "a", "b", "1"],
+                                  [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    tower = diamond
+    for _ in range(11):
+        tower = shellab.ordinal_sum(tower, diamond)
+    (tmp_path / "tower.json").write_text(json.dumps(poset_to_json(tower)))
+    cert = tmp_path / "cert.json"
+    assert run(["rao", str(tmp_path / "tower.json"), "--certificate", str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: poset has ") and "budget is 10000" in err
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["relabel", "corpus:fig2-P", "--order-from-labeling", "corpus:fig2-P/bold"],
+    ["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold"],
+    ["export-dot", "corpus:fig1"],
+], ids=["relabel", "rfas-from-tcl", "export-dot"])
+def test_unwritable_out_is_an_error(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "missing" / "out"), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 _LC_CHECK_FIG8 = """\
 {
   "command": "lc-check",

@@ -20,9 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "shellab"
 
 # module.qualname -> why its recursion is bounded
-ALLOWED = {
-    "cli._witness_jsonable": "witness payloads nest a fixed few levels deep",
-}
+ALLOWED = {}
 
 
 def _own_calls(fn):

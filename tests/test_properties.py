@@ -72,10 +72,18 @@ posets = st.builds(
 @SETTINGS
 @given(posets)
 def test_leq_is_reachability(p):
+    # every order query agrees with the closures walked from the raw covers
+    key = p.index.__getitem__
+    reach = {a: bfs_reachable(p.covers, a) for a in p.elements}
     for a in p.elements:
-        reach = bfs_reachable(p.covers, a)
+        assert p.upset(a) == reach[a]
+        assert p.downset(a) == {b for b in p.elements if a in reach[b]}
         for b in p.elements:
-            assert p.leq(a, b) == (b in reach)
+            assert p.leq(a, b) == (b in reach[a])
+            assert p.interval(a, b) == tuple(sorted(
+                (e for e in reach[a] if b in reach[e]), key=key))
+            assert p.atoms_of(a, b) == tuple(
+                v for v in p.elements if (a, v) in p.covers and b in reach[v])
 
 
 @SETTINGS
