@@ -67,11 +67,14 @@ def _resolve_table(kind, from_json, poset, ref, budget):
     """A labeling or first atom set: ``corpus:NAME/KEY`` or a JSON file."""
     if ref.startswith("corpus:"):
         name, _, key = ref.split(":", 1)[1].partition("/")
-        tables = getattr(corpus.load_named(name), kind)
+        example = corpus.load_named(name)
+        tables = getattr(example, kind)
         if not key or key not in tables:
             raise ShellabError(
                 f"corpus example {name!r} {kind.replace('_', ' ')}: {sorted(tables)}"
             )
+        if example.poset != poset:  # node ids of another poset's trie
+            raise ShellabError(f"{ref} belongs to corpus example {name!r}, not to the given poset")
         return tables[key]
     return from_json(poset, _load_json(ref), budget)
 
@@ -282,16 +285,11 @@ def _cmd_shelling_verify(args, report):
     if args.order_file:
         with open(args.order_file) as fh:
             order = [frozenset(line.split()) for line in fh if line.strip()]
-    elif args.from_labeling:
+    else:
         if poset is None:
             raise ShellabError("--from-labeling needs a poset input")
         lab = _resolve_labeling(poset, args.from_labeling, args.max_rooted_covers)
         order = [frozenset(c) for c in lex_order_max_chains(lab, poset, tie_break=True)]
-    else:
-        if poset is None:
-            raise ShellabError("--from-rfas needs a poset input")
-        omega = _resolve_first_atom_set(poset, args.from_rfas, args.max_rooted_covers)
-        order = [frozenset(c) for c in shelling_from_rfas(poset, omega)]
     result = is_shelling(complex_, order)
     report.verdict("shelling", result.ok)
     if not result.ok:
@@ -364,8 +362,7 @@ _COMMANDS = {
     ]),
     "shelling-verify": ("verify a facet order", _cmd_shelling_verify, [
         _arg("complex_or_poset"),
-        [_arg("--order-file", metavar="FILE"), _arg("--from-labeling", metavar="LABELING"),
-         _arg("--from-rfas", metavar="RFAS")],
+        [_arg("--order-file", metavar="FILE"), _arg("--from-labeling", metavar="LABELING")],
     ]),
     "corpus": ("list or dump built-in examples", _cmd_corpus, [
         _arg("name", nargs="?"),

@@ -160,61 +160,46 @@ def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
                budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> RfasReport:
     """Validate both first atom set conditions on every rooted interval.
 
-    Condition (ii)'s witness walk roots each capped interval at the atom it
-    hangs from; with literal_ii=True the walk instead uses the previous
-    atom's root, which is never a valid root, so only one-step witnesses
-    survive (kept for auditability).
+    Both conditions are read off one map on the atoms of a rooted interval
+    [x, y] that y does not cover: atom a steps to the designated atom of
+    [x, b], where b is the designated atom of [a, y] rooted at a.
+    (i) The designated atom of [x, y] is the step's only fixed point: it
+    fails "forward" when that atom steps elsewhere, "backward" when another
+    atom steps to itself.  (ii) The orbit of every other atom reaches the
+    designated atom.  With literal_ii=True the orbit is cut after one step,
+    as when each capped interval keeps the previous atom's root, which is
+    never a valid root (kept for auditability).
     """
     trie = root_trie(poset, budget)
     elem, table = trie.elem, omega.table
     violations = []
     for g, x, y in rooted_interval_nodes(poset, trie):
-        atoms = trie.below(g, y)
         first = table[(g, y)]
+        if elem[first] == y:
+            continue  # y covers x, so it is the only atom and steps nowhere
+        atoms = trie.below(g, y)
+        step = {}
         for c in atoms:
-            a = elem[c]
-            if a == y:
-                continue
             b = elem[table[(c, y)]]
-            heads_xy = first == c
-            heads_xb = table[(g, b)] == c
-            if heads_xy and not heads_xb:
-                violations.append(RfasViolation(
-                    "i", "forward", trie.chain(g), x, y, a,
-                    f"{a!r} heads [{x!r},{y!r}] but not [{x!r},{b!r}]"))
-            if heads_xb and not heads_xy:
-                violations.append(RfasViolation(
-                    "i", "backward", trie.chain(g), x, y, a,
-                    f"{a!r} heads [{x!r},{b!r}] but not [{x!r},{y!r}]"))
-        if len(atoms) > 1:
-            for c in atoms:
+            step[c] = table[(g, b)]
+            if (c == first) != (step[c] == c):
                 a = elem[c]
-                if c == first or a == y:
-                    continue
-                b = elem[table[(c, y)]]
-                if not _condition_ii_walk(trie, table, g, y, first, b, literal_ii):
-                    violations.append(RfasViolation(
-                        "ii", None, trie.chain(g), x, y, a,
-                        f"no first-atom walk from {a!r} back to {elem[first]!r}"))
+                heads, misses = (y, b) if c == first else (b, y)
+                violations.append(RfasViolation(
+                    "i", "forward" if c == first else "backward", trie.chain(g), x, y, a,
+                    f"{a!r} heads [{x!r},{heads!r}] but not [{x!r},{misses!r}]"))
+        for c in atoms:
+            if c == first:
+                continue
+            seen, a = set(), step[c]
+            while not (a == first or a in seen or literal_ii):
+                seen.add(a)
+                a = step[a]
+            if a != first:
+                violations.append(RfasViolation(
+                    "ii", None, trie.chain(g), x, y, elem[c],
+                    f"no first-atom walk from {elem[c]!r} back to {elem[first]!r}"))
     return RfasReport(not violations, violations)
-
-
-def _condition_ii_walk(trie, table, g, y, first, b, literal_ii) -> bool:
-    """Follow the forced witness recurrence backwards from the cap b; nodes
-    g (the root of x) and first (its designated child) fix the interval."""
-    seen = set()
-    a_cur = table[(g, b)]
-    while a_cur != first:
-        if a_cur in seen:
-            return False
-        seen.add(a_cur)
-        if literal_ii:
-            return False  # the literal root is never valid beyond one step
-        if trie.elem[a_cur] == y:
-            return False
-        b_cur = trie.elem[table[(a_cur, y)]]
-        a_cur = table[(g, b_cur)]
-    return True
 
 
 class ChainOrderDag(Record):

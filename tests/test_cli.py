@@ -510,6 +510,24 @@ def test_closed_stdout_pipe_ends_without_traceback():
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["rfas-check", "corpus:fig8", "corpus:fig5-Q/omega"],
+    ["lc-check", "corpus:fig8", "corpus:fig5-P/C"],
+    ["rfas-check", "corpus:fig5-P", "corpus:fig5-Q/omega"],
+    ["rfas-shell", "corpus:fig5-P", "corpus:fig5-Q/omega"],
+    ["check", "--kind", "el", "corpus:fig2-P", "corpus:fig1/left"],
+], ids=["rfas-check-fig8", "lc-check-fig8", "rfas-check-fig5-P", "rfas-shell-fig5-P",
+        "check-fig2-P"])
+def test_corpus_table_of_another_example_is_an_error(tmp_path, argv):
+    # a table is keyed by the node ids of its own poset's trie: on another
+    # poset it can fail anywhere, or give a wrong verdict with no error
+    code, out, err = _as_process(argv, tmp_path)
+    example = argv[-1].split(":")[1].split("/")[0]
+    assert code == 1 and out == b""
+    assert err.startswith(b"error: ") and f"corpus example {example!r}".encode() in err
+    assert b"Traceback" not in err
+
+
 def _run_on_1500_atoms(tmp_path, command, *extra):
     """`shellab <command> poset.json <extra>` as a process, on the poset
     0hat < v0..v1499 < 1hat."""

@@ -262,8 +262,10 @@ def test_node_keyed_tables_match_literal_oracles(p, seed):
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_node_keyed_rfas_match_literal_oracles_on_corpus(name):
-    # the corpus tables hold condition (ii) walks of more than one step,
-    # which random posets of up to 9 elements do not reach
+    # the corpus tables hold condition (ii) walks of more than one step
+    # (fig8), which random posets of up to 9 elements do not reach, walks
+    # that repeat an atom (fig5-P, fig5-Q), and a table that only the
+    # one-step reading rejects (fig8)
     p = corpus.load_named(name).poset
     for omega in corpus.load_named(name).first_atom_sets.values():
         for literal_ii in (False, True):
