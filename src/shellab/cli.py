@@ -182,6 +182,7 @@ def _cmd_check(args, report):
     if not ok:
         report.witness(args.kind, rep.witnesses.get(args.kind, {}))
     report.timing("rooted_covers", rooted_cover_count(poset))
+    report.timing("rooted_intervals", rep.rooted_intervals)
 
 
 def _cmd_relabel(args, report):

@@ -18,7 +18,6 @@ from .chains import (
     ensure_budget,
     interval_chains,
     root_trie,
-    rooted_interval_nodes,
     strictly_above,
 )
 from .errors import (
@@ -126,10 +125,16 @@ class CELabeling:
 
 
 def _integer(label) -> int:
+    """The label as an int.  A bool, or a number that int() would truncate,
+    is rejected rather than read as another label."""
     try:
-        return int(label)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"label {label!r} is not an integer") from None
+        value = int(label)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: infinity
+        value = None
+    if value is None or isinstance(label, bool) or (
+            not isinstance(label, str) and value != label):
+        raise InvalidInputError(f"label {label!r} is not an integer")
+    return value
 
 
 def label_sequence(lab: CELabeling, root, chain) -> tuple:
@@ -165,6 +170,10 @@ class _Verifier:
     label pair) on the root of v starts, or -1: a chain from node g up to
     node v is topologically ascending iff last_descent[v] < depth[g], and
     strictly increasing iff last_nonincrease[v] < depth[g].
+
+    rep[g] is the node whose subtree decides every verdict at node g: node d
+    under g is node d - g + g0 under the first node g0 of elem[g], and a
+    root-independent labeling gives both one label, so rep[g] = g0; else g.
     """
 
     def __init__(self, lab: CELabeling, poset: Poset,
@@ -180,8 +189,20 @@ class _Verifier:
         self.path = path
 
     @cached_property
+    def root_independent(self) -> bool:
+        return self.lab.is_root_independent()
+
+    @cached_property
+    def rep(self):
+        trie = self.trie
+        if not self.root_independent:
+            return range(len(trie))
+        nodes_of = trie.nodes_of
+        return [nodes_of[e][0] for e in trie.elem]
+
+    @cached_property
     def asc(self) -> list:
-        trie, lab_in, path = self.trie, self.lab_in, self.path
+        trie, lab_in, path, rep = self.trie, self.lab_in, self.path, self.rep
         parent, depth, elem = trie.parent, trie.depth, trie.elem
         asc = [True] * len(trie)
         for k in range(len(trie)):
@@ -189,6 +210,9 @@ class _Verifier:
                 continue
             h = parent[k]
             g = parent[h]
+            if rep[g] != g:  # k - g + rep[g] < k, so it is already decided
+                asc[k] = asc[k - g + rep[g]]
+                continue
             others = trie.within(g, elem[k])
             if len(others) > 1:
                 pair, dg = (lab_in[h], lab_in[k]), depth[g]
@@ -213,12 +237,23 @@ class _Verifier:
             out[v] = out[parent[v]] if ok[v] else depth[v] - 2
         return out
 
+    def decided(self):
+        """(g, x, above) per node g that is its own representative, in
+        canonical order: x is elem[g] and above the elements y > x."""
+        trie, rep = self.trie, self.rep
+        for x in self.poset.elements:
+            above = strictly_above(self.poset, x)
+            for g in trie.nodes_of[x]:
+                if rep[g] == g:
+                    yield g, x, above
+
     def intervals(self):
-        """(g, x, y, ds) per rooted interval, in canonical order: node g is
-        the root of x and ds the end nodes of the chains of [x, y] under it."""
-        trie = self.trie
-        for g, x, y in rooted_interval_nodes(self.poset, trie):
-            yield g, x, y, trie.within(g, y)
+        """(g, x, y, ds) per rooted interval whose root node g is its own
+        representative, in canonical order: ds are the end nodes of the
+        chains of [x, y] under g.  Any other rooted interval has the verdicts
+        of the one under its representative, which comes earlier."""
+        within = self.trie.within
+        return ((g, x, y, within(g, y)) for g, x, above in self.decided() for y in above)
 
     def chains(self, g, ds) -> tuple:
         """The chains from node g up to each node of ds, as tuples."""
@@ -244,6 +279,8 @@ class LabelingReport(Record):
     Flags are None when the kind was not requested.  For every False flag,
     ``witnesses[kind]`` holds the first offending rooted interval (in
     canonical enumeration order) together with the offending chains.
+    ``rooted_intervals`` counts the rooted intervals classify() decided; it
+    is a work counter, not a verdict, so equality ignores it.
     """
 
     _fields = ("is_el", "is_cl", "is_ec", "is_cc", "is_tcl",
@@ -258,6 +295,7 @@ class LabelingReport(Record):
         self.is_tcl = is_tcl
         self.is_self_consistent = is_self_consistent
         self.witnesses = {} if witnesses is None else witnesses
+        self.rooted_intervals = 0
 
     def flag(self, kind: str):
         return getattr(self, "is_" + kind.replace("-", "_"))
@@ -293,6 +331,7 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     for g, x, y, ds in ver.intervals():
         if not (tcl_ok or cc_ok or cl_ok):
             break
+        report.rooted_intervals += 1
         dg = depth[g]
 
         if tcl_ok:
@@ -326,7 +365,7 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
                     "increasing_chains": ver.chains(g, increasing),
                 }
 
-    root_indep = lab.is_root_independent()
+    root_indep = ver.root_independent
     if "tcl" in kinds:
         report.is_tcl = tcl_ok
     if "cc" in kinds:
@@ -364,43 +403,41 @@ def _self_consistency(ver: _Verifier, tcl_flag):
     over the same root."""
     if not tcl_flag:
         return False, {"not_tcl": True}
-    poset, trie, path, elem = ver.poset, ver.trie, ver.path, ver.trie.elem
-    for x in poset.elements:
-        above = strictly_above(poset, x)
-        for g in trie.nodes_of[x]:
-            # per top y': lex bounds of the chains through each atom, from
-            # one scan of the subtree of each atom's node
-            bounds = {yp: {} for yp in above}
-            for c in trie.children(g):
-                seqs = {}
-                for d in range(c, trie.end[c]):
-                    seqs.setdefault(elem[d], []).append(path[d])
-                for yp, ss in seqs.items():
-                    bounds[yp][elem[c]] = (min(ss), max(ss))
-            # first y' where the chains through a do not all precede those
-            # through b, per atom pair (a, b)
-            late = {}
-            for y in above:
-                per_atom = bounds[y]
-                if len(per_atom) < 2:
+    trie, path, elem = ver.trie, ver.path, ver.trie.elem
+    for g, x, above in ver.decided():
+        # per top y': lex bounds of the chains through each atom, from one
+        # scan of the subtree of each atom's node
+        bounds = {yp: {} for yp in above}
+        for c in trie.children(g):
+            seqs = {}
+            for d in range(c, trie.end[c]):
+                seqs.setdefault(elem[d], []).append(path[d])
+            for yp, ss in seqs.items():
+                bounds[yp][elem[c]] = (min(ss), max(ss))
+        # first y' where the chains through a do not all precede those
+        # through b, per atom pair (a, b)
+        late = {}
+        for y in above:
+            per_atom = bounds[y]
+            if len(per_atom) < 2:
+                continue
+            best = min(lo for lo, _ in per_atom.values())
+            for a, (lo, _) in per_atom.items():
+                if lo != best:
                     continue
-                best = min(lo for lo, _ in per_atom.values())
-                for a, (lo, _) in per_atom.items():
-                    if lo != best:
+                for b in per_atom:
+                    if b == a:
                         continue
-                    for b in per_atom:
-                        if b == a:
-                            continue
-                        if (a, b) not in late:
-                            late[(a, b)] = next((
-                                yp for yp in above
-                                if a in bounds[yp] and b in bounds[yp]
-                                and not bounds[yp][a][1] < bounds[yp][b][0]), None)
-                        if late[(a, b)] is not None:
-                            return False, {
-                                "root": trie.chain(g), "x": x, "y": y, "y2": late[(a, b)],
-                                "atom_first": a, "atom_other": b,
-                            }
+                    if (a, b) not in late:
+                        late[(a, b)] = next((
+                            yp for yp in above
+                            if a in bounds[yp] and b in bounds[yp]
+                            and not bounds[yp][a][1] < bounds[yp][b][0]), None)
+                    if late[(a, b)] is not None:
+                        return False, {
+                            "root": trie.chain(g), "x": x, "y": y, "y2": late[(a, b)],
+                            "atom_first": a, "atom_other": b,
+                        }
     return True, None
 
 
@@ -409,15 +446,9 @@ def descent_set(lab: CELabeling, poset: Poset,
     """All rooted adjacent cover pairs (r, u, v, w) that are topological
     descents; the complement over the same domain are the ascents."""
     ver = _Verifier(lab, poset, budget)
-    trie = ver.trie
-    elem, parent = trie.elem, trie.parent
-    out = set()
-    for k, ok in enumerate(ver.asc):
-        if not ok:
-            h = parent[k]
-            g = parent[h]
-            out.add((trie.chain(g), elem[g], elem[h], elem[k]))
-    return frozenset(out)
+    elem, parent, chain = ver.trie.elem, ver.trie.parent, ver.trie.chain
+    return frozenset((chain(parent[h]), elem[parent[h]], elem[h], elem[k])
+                     for k, (h, ok) in enumerate(zip(parent, ver.asc)) if not ok)
 
 
 def lex_order_max_chains(lab: CELabeling, poset: Poset, tie_break: bool = False):

@@ -403,8 +403,8 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
     maximal chain attaining the dictionary-least label sequence."""
     ver = _Verifier(lab, poset, budget)
     trie, path = ver.trie, ver.path
-    for g, x, y, ds in ver.intervals():
-        best = min(path[d] for d in ds)
+    for g, x, y in rooted_interval_nodes(poset, trie):
+        best = min(path[d] for d in trie.within(g, y))
         if not any(path[d] == best for d in trie.within(omega.table[(g, y)], y)):
             return False
     return True
@@ -441,8 +441,8 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     ver = _Verifier(relabeled, poset, budget)
     trie, descent = ver.trie, ver.last_descent
     table = {}
-    for g, x, y, ds in ver.intervals():
-        ascending = [d for d in ds if descent[d] < trie.depth[g]]
+    for g, x, y in rooted_interval_nodes(poset, trie):
+        ascending = [d for d in trie.within(g, y) if descent[d] < trie.depth[g]]
         if len(ascending) != 1:
             # happens only when the source labeling has tied label sequences
             # whose removal by the rebuild breaks unique ascendance
@@ -496,6 +496,8 @@ def first_atom_set_from_json(poset: Poset, data: dict,
     except (AttributeError, KeyError, TypeError) as exc:
         raise entry_error("first atom", listed, ("x", "y", "atom"), exc) from None
     default = data.get("default", "leftmost")
+    if default not in ("leftmost", None):
+        raise InvalidInputError(f'"default" must be "leftmost" or null, not {default!r}')
     return FirstAtomSet.from_entries(poset, entries, default, budget)
 
 

@@ -227,6 +227,18 @@ def _classify_literal(lab, poset, kinds):
     return report
 
 
+def _descent_set_literal(lab, poset):
+    """descent_set() by direct quantification: every (r, u, v, w) with r a
+    root of u and u < v < w covers, that _is_ascent_literal rejects."""
+    out = set()
+    for u, v in poset.covers:
+        for w in poset.up[v]:
+            for r in _canonical_paths(poset, poset.bottom, u):
+                if not _is_ascent_literal(lab, poset, r, u, v, w):
+                    out.add((r, u, v, w))
+    return frozenset(out)
+
+
 def _self_consistency_witness(lab, poset, per_root):
     """First (r, x, y, y', a, b) where a heads the lex-first chains of
     [x, y]_r but some chain through a does not precede every chain through
@@ -508,6 +520,22 @@ def shuffled_boolean_lattice(n, seed):
     poset = build_poset([name[m] for m in masks], covers)
     labels = {(name[m], name[m | 1 << i]): perm[i]
               for m in masks for i in range(n) if not m >> i & 1}
+    return poset, CELabeling.from_edges(poset, labels)
+
+
+def diamond_tower(k):
+    """Ordinal sum of k diamonds b_j < p_j, q_j < t_j < b_(j+1), with an EL
+    edge labeling: p_j carries the increasing pair 3j+1, 3j+2, q_j the pair
+    3j+2, 3j+1, and t_j < b_(j+1) the label 3j+3."""
+    elements, labels = [], {}
+    for j in range(k):
+        b, p, q, t = f"b{j}", f"p{j}", f"q{j}", f"t{j}"
+        elements += [b, p, q, t]
+        labels.update({(b, p): 3 * j + 1, (p, t): 3 * j + 2,
+                       (b, q): 3 * j + 2, (q, t): 3 * j + 1})
+        if j + 1 < k:
+            labels[(t, f"b{j + 1}")] = 3 * j + 3
+    poset = build_poset(elements, list(labels))
     return poset, CELabeling.from_edges(poset, labels)
 
 

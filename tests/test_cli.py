@@ -11,6 +11,7 @@ from shellab import cli
 from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
+from conftest import shuffled_boolean_lattice
 
 
 def test_check_cc_ok(capsys):
@@ -576,3 +577,62 @@ def test_rao_failure_without_pair_obstruction_names_the_refuted_interval(
     upper = shellab.build_poset(p.interval("v1", "1hat"),
                                 [c for c in p.covers if p.leq("v1", c[0])])
     assert shellab.find_rao(upper) is None and shellab.find_grao(upper) is None
+
+
+_CHAIN_POSET = {"elements": ["0hat", "a", "1hat"], "covers": [["0hat", "a"], ["a", "1hat"]]}
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((1.2, 1.7), "error: label 1.2 is not an integer"),
+    ((True, 2), "error: label True is not an integer"),
+    ((1, float("inf")), "error: label inf is not an integer"),
+], ids=["fractional", "bool", "infinite"])
+def test_non_integer_label_is_an_error(tmp_path, capsys, labels, message):
+    # int() would truncate 1.2 and 1.7 to the tie 1, 1 and report el: FAIL
+    (tmp_path / "poset.json").write_text(json.dumps(_CHAIN_POSET))
+    (tmp_path / "lab.json").write_text(json.dumps({"labels": [
+        {"from": u, "to": v, "label": lbl} for (u, v), lbl in zip(_CHAIN_POSET["covers"], labels)]}))
+    argv = ["check", "--kind", "el", str(tmp_path / "poset.json"), str(tmp_path / "lab.json")]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == message
+
+
+def test_integral_float_label_is_accepted(tmp_path, capsys):
+    (tmp_path / "poset.json").write_text(json.dumps(_CHAIN_POSET))
+    (tmp_path / "lab.json").write_text(json.dumps({"labels": [
+        {"from": "0hat", "to": "a", "label": 1.0}, {"from": "a", "to": "1hat", "label": 2.0}]}))
+    assert run(["check", "--kind", "el", str(tmp_path / "poset.json"),
+                str(tmp_path / "lab.json")]) == 0
+    assert capsys.readouterr().out == "el: ok\n"
+
+
+@pytest.mark.parametrize("default", ["leftmst", ["x"], 0])
+def test_unknown_first_atom_default_is_an_error(tmp_path, capsys, default):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"first_atoms": [], "default": default}))
+    assert run(["rfas-check", "corpus:fig1", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f'error: "default" must be "leftmost" or null, not {default!r}')
+
+
+def test_check_reports_the_rooted_intervals_it_decided(tmp_path, capsys):
+    # an edge labeling is decided at one root per element: 3^5 - 2^5 pairs
+    # x < y of B_5; the root-dependent relabeling at every rooted interval
+    p, lab = shuffled_boolean_lattice(5, 0)
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(p)))
+    (tmp_path / "el.json").write_text(json.dumps(shellab.labeling_to_json(lab)))
+    argv = ["check", "--kind", "cc", str(tmp_path / "poset.json"), "--json"]
+    assert run(["relabel", str(tmp_path / "poset.json"), "--order-from-labeling",
+                str(tmp_path / "el.json"), "--out", str(tmp_path / "cc.json")]) == 0
+    capsys.readouterr()
+    counts = {}
+    for name in ("el.json", "cc.json"):
+        assert run(argv + [str(tmp_path / name)]) == 0
+        counts[name] = json.loads(capsys.readouterr().out)["timings"]
+    rooted_covers = shellab.rooted_cover_count(p)
+    assert counts == {
+        "el.json": {"rooted_covers": rooted_covers, "rooted_intervals": 211},
+        "cc.json": {"rooted_covers": rooted_covers,
+                    "rooted_intervals": shellab.rooted_interval_count(p)},
+    }

@@ -5,6 +5,7 @@ import pytest
 from shellab import (
     AmbiguousOrderError,
     CELabeling,
+    InvalidInputError,
     MissingLabelError,
     build_poset,
     classify,
@@ -48,6 +49,24 @@ def test_missing_label():
         CELabeling.from_edges(p, {})
     with pytest.raises(MissingLabelError):
         CELabeling.from_chain_table(p, {})
+
+
+@pytest.mark.parametrize("bad", [1.2, 1.7, True, False, float("nan"), float("inf"), "1.5", None])
+def test_non_integer_label_is_rejected(chain3, bad):
+    covers = list(chain3.covers)
+    with pytest.raises(InvalidInputError, match=f"label {bad!r} is not an integer"):
+        CELabeling.from_edges(chain3, {c: bad if i == 1 else 1 for i, c in enumerate(covers)})
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        CELabeling.from_chain_table(chain3, {
+            (covers[0][:1], *covers[0]): 1, (covers[0], *covers[1]): bad,
+            (covers[0] + covers[1][1:], *covers[2]): 1})
+
+
+def test_integral_labels_keep_working(chain3):
+    lab = CELabeling.from_edges(chain3, dict(zip(chain3.covers, (1.0, "2", 3))))
+    assert label_sequence(lab, ("0hat",), chain3.elements) == (1, 2, 3)
+    assert all(type(x) is int for x in label_sequence(lab, ("0hat",), chain3.elements))
+    assert classify(lab, chain3, kinds={"el"}).is_el
 
 
 def test_topological_ascent_examples(fig1):

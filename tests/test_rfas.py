@@ -6,6 +6,8 @@ from shellab import (
     BudgetExceededError,
     ChainOrderDag,
     FirstAtomSet,
+    InvalidInputError,
+    MissingFirstAtomError,
     NoLcExtensionError,
     NotAnRfasError,
     NotTclError,
@@ -111,6 +113,19 @@ def test_literal_walk_reading_rejects_fig8(fig8):
 def test_unique_atom_intervals_autofilled(chain3):
     omega = FirstAtomSet.from_entries(chain3, default=None)
     assert omega.first_atom(("0hat",), "0hat", "1hat") == "m1"
+
+
+def test_first_atom_default_is_leftmost_or_null(fig1):
+    p = fig1.poset
+    leftmost = first_atom_set_from_json(p, {"first_atoms": []})
+    assert first_atom_set_from_json(
+        p, {"first_atoms": [], "default": "leftmost"}).table == leftmost.table
+    with pytest.raises(MissingFirstAtomError, match="no entry for rooted interval"):
+        first_atom_set_from_json(p, {"first_atoms": [], "default": None})
+    # a misspelt default used to be read as null, and failed as above
+    for bad in ("leftmst", ["x"], {}, False):
+        with pytest.raises(InvalidInputError, match='"default" must be "leftmost" or null'):
+            first_atom_set_from_json(p, {"first_atoms": [], "default": bad})
 
 
 def test_restriction_is_still_valid(fig8):
