@@ -22,7 +22,7 @@ from .chains import (
     maximal_chains,
     rooted_cover_count,
 )
-from .errors import InvalidInputError, ShellabError
+from .errors import ShellabError
 from .labeling import (
     KINDS,
     classify,
@@ -30,7 +30,7 @@ from .labeling import (
     labeling_to_json,
     lex_order_max_chains,
 )
-from .poset import load_poset, poset_from_json, to_dot
+from .poset import load_json_object, load_poset, poset_from_json, to_dot
 from .rao import _Search, rao_pair_obstructions, DEFAULT_SEARCH_BUDGET
 from .relabel import relabel_from_order
 from .rfas import (
@@ -43,17 +43,6 @@ from .rfas import (
     shelling_from_rfas,
 )
 from .shelling import complex_from_json, is_shelling, order_complex
-
-
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"{path}: not a JSON object")
-    return data
 
 
 def _resolve_poset(ref):
@@ -76,7 +65,7 @@ def _resolve_table(kind, from_json, poset, ref, budget):
         if example.poset != poset:  # node ids of another poset's trie
             raise ShellabError(f"{ref} belongs to corpus example {name!r}, not to the given poset")
         return tables[key]
-    return from_json(poset, _load_json(ref), budget)
+    return from_json(poset, load_json_object(ref), budget)
 
 
 _resolve_labeling = partial(_resolve_table, "labelings", labeling_from_json)
@@ -277,7 +266,7 @@ def _cmd_shelling_verify(args, report):
         poset = _resolve_poset(ref)
         complex_ = order_complex(poset)
     else:
-        data = _load_json(ref)
+        data = load_json_object(ref)
         if "elements" in data:
             poset = poset_from_json(data)
             complex_ = order_complex(poset)

@@ -9,7 +9,6 @@ prefix precedes its extensions).
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from ._record import Record
@@ -27,7 +26,7 @@ from .errors import (
     entry_error,
     unique_table,
 )
-from .poset import Poset
+from .poset import Poset, load_json_object
 
 KINDS = ("el", "cl", "ec", "cc", "tcl", "self-consistent")
 
@@ -513,5 +512,4 @@ def labeling_from_json(poset: Poset, data: dict,
 
 def load_labeling(poset: Poset, path,
                   budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
-    with open(path) as fh:
-        return labeling_from_json(poset, json.load(fh), budget)
+    return labeling_from_json(poset, load_json_object(path), budget)

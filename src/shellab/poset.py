@@ -10,7 +10,13 @@ from __future__ import annotations
 import json
 import random
 
-from .errors import CycleDetectedError, InvalidPosetError, NotBoundedError, RedundantCoverError
+from .errors import (
+    CycleDetectedError,
+    InvalidInputError,
+    InvalidPosetError,
+    NotBoundedError,
+    RedundantCoverError,
+)
 
 
 class Poset:
@@ -271,13 +277,20 @@ def poset_from_json(data: dict) -> Poset:
     return build_poset(elements, [tuple(c) for c in covers])
 
 
-def load_poset(path) -> Poset:
+def load_json_object(path, error=InvalidInputError) -> dict:
+    """The JSON object in the file at path; raises `error` if it holds none."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InvalidPosetError(f"{path}: not JSON ({exc})") from None
-    return poset_from_json(data)
+            raise error(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: not a JSON object")
+    return data
+
+
+def load_poset(path) -> Poset:
+    return poset_from_json(load_json_object(path, InvalidPosetError))
 
 
 def to_dot(poset: Poset) -> str:

@@ -12,7 +12,6 @@ compatible with the table.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from ._record import Record
@@ -34,8 +33,8 @@ from .errors import (
     entry_error,
     unique_table,
 )
-from .labeling import CELabeling, _Verifier, classify, lex_order_max_chains
-from .poset import Poset, build_poset
+from .labeling import CELabeling, _Verifier
+from .poset import Poset, build_poset, load_json_object
 from .relabel import relabel_from_order
 from .shelling import _orderings
 
@@ -428,31 +427,27 @@ def compatible_labeling(poset: Poset, omega: FirstAtomSet,
 
 def rfas_from_tcl(poset: Poset, lab: CELabeling,
                   budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
-    """First atom set read off a TCL-labeling.
+    """First atom set whose designated atoms are those of each rooted
+    interval's unique topologically ascending chain.
 
-    The labeling is first rebuilt from its lexicographic chain order; each
-    rooted interval's designated atom is the one on the unique topologically
-    ascending chain of the rebuilt labeling.
-    """
-    if not classify(lab, poset, kinds={"tcl"}, budget=budget).is_tcl:
-        raise NotTclError("labeling is not a TCL-labeling")
-    gamma = lex_order_max_chains(lab, poset, tie_break=True)
-    relabeled = relabel_from_order(poset, gamma, budget)
-    ver = _Verifier(relabeled, poset, budget)
-    trie, descent = ver.trie, ver.last_descent
+    Condition (i) holds for any TCL-labeling, and (ii) whenever each
+    ascending chain is its interval's strictly lex-least chain; a table
+    that fails check_rfas raises NotAnRfasError."""
+    ver = _Verifier(lab, poset, budget)
+    trie, descent, depth = ver.trie, ver.last_descent, ver.trie.depth
     table = {}
     for g, x, y in rooted_interval_nodes(poset, trie):
-        ascending = [d for d in trie.within(g, y) if descent[d] < trie.depth[g]]
+        ascending = [d for d in trie.within(g, y) if descent[d] < depth[g]]
         if len(ascending) != 1:
-            # happens only when the source labeling has tied label sequences
-            # whose removal by the rebuild breaks unique ascendance
             raise NotTclError(
-                f"rebuilt labeling has {len(ascending)} ascending chains in "
-                f"({trie.chain(g)!r}, {x!r}, {y!r}); the source labeling's chain order "
-                "has ties that the rebuild cannot preserve"
-            )
+                f"labeling is not a TCL-labeling: ({trie.chain(g)!r}, {x!r}, {y!r}) "
+                f"has {len(ascending)} topologically ascending chains")
         table[(g, y)] = next(c for c in trie.children(g) if ascending[0] < trie.end[c])
-    return FirstAtomSet(poset, table)
+    omega = FirstAtomSet(poset, table)
+    violations = check_rfas(poset, omega, budget=budget).violations
+    if violations:
+        raise NotAnRfasError(f"the ascending chains' atoms are not an RFAS: {violations[0]!r}")
+    return omega
 
 
 def restrict_first_atom_set(poset: Poset, omega: FirstAtomSet, root, x, y):
@@ -486,9 +481,9 @@ def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
 
 def first_atom_set_from_json(poset: Poset, data: dict,
                              budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
-    listed = data.get("first_atoms", [])
+    listed = data.get("first_atoms", []) if isinstance(data, dict) else None
     if not isinstance(listed, list):
-        raise InvalidInputError('"first_atoms" must be a list')
+        raise InvalidInputError('a first atom set needs an object with a "first_atoms" list')
     try:
         entries = unique_table("first atom", (
             ((tuple(e["root"]) if e.get("root") is not None else None, e["x"], e["y"]), e["atom"])
@@ -503,5 +498,4 @@ def first_atom_set_from_json(poset: Poset, data: dict,
 
 def load_first_atom_set(poset: Poset, path,
                         budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
-    with open(path) as fh:
-        return first_atom_set_from_json(poset, json.load(fh), budget)
+    return first_atom_set_from_json(poset, load_json_object(path), budget)

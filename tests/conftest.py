@@ -23,8 +23,12 @@ from shellab import (
     corpus,
     label_sequence,
 )
+from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, rooted_interval_nodes
+from shellab.errors import NotTclError
+from shellab.labeling import _Verifier, classify, lex_order_max_chains
 from shellab.rao import _Search
-from shellab.rfas import RfasReport, RfasViolation
+from shellab.relabel import relabel_from_order
+from shellab.rfas import FirstAtomSet, RfasReport, RfasViolation
 
 
 # -- independent oracles -------------------------------------------------
@@ -343,6 +347,34 @@ def _check_rfas_literal(poset, omega, literal_ii=False):
     return RfasReport(not violations, violations)
 
 
+def _rfas_from_tcl_rebuild(poset, lab, budget=DEFAULT_ROOTED_COVER_BUDGET):
+    """rfas_from_tcl by way of the chain-order rebuild: the labeling is first
+    rebuilt from its lexicographic chain order; each rooted interval's
+    designated atom is the one on the unique topologically ascending chain
+    of the rebuilt labeling.  Ties the input never broke can leave the
+    rebuilt labeling with no unique ascending chain, and then it refuses.
+    """
+    if not classify(lab, poset, kinds={"tcl"}, budget=budget).is_tcl:
+        raise NotTclError("labeling is not a TCL-labeling")
+    gamma = lex_order_max_chains(lab, poset, tie_break=True)
+    relabeled = relabel_from_order(poset, gamma, budget)
+    ver = _Verifier(relabeled, poset, budget)
+    trie, descent = ver.trie, ver.last_descent
+    table = {}
+    for g, x, y in rooted_interval_nodes(poset, trie):
+        ascending = [d for d in trie.within(g, y) if descent[d] < trie.depth[g]]
+        if len(ascending) != 1:
+            # happens only when the source labeling has tied label sequences
+            # whose removal by the rebuild breaks unique ascendance
+            raise NotTclError(
+                f"rebuilt labeling has {len(ascending)} ascending chains in "
+                f"({trie.chain(g)!r}, {x!r}, {y!r}); the source labeling's chain order "
+                "has ties that the rebuild cannot preserve"
+            )
+        table[(g, y)] = next(c for c in trie.children(g) if ascending[0] < trie.end[c])
+    return FirstAtomSet(poset, table)
+
+
 def _first_atom_chain_literal(omega, root, x, y):
     chain, root = (x,), tuple(root)
     while chain[-1] != y:
@@ -537,6 +569,24 @@ def diamond_tower(k):
             labels[(t, f"b{j + 1}")] = 3 * j + 3
     poset = build_poset(elements, list(labels))
     return poset, CELabeling.from_edges(poset, labels)
+
+
+def tie_case():
+    """A TCL-labeling whose ascending chain of [0hat, 1hat] is not the
+    lexicographically first: 0hat < v3 < 1hat and 0hat < v5 < 1hat tie at
+    (2, 3) and put each other into descent, while 0hat < v1 < v4 < 1hat,
+    whose two-step subintervals are all single chains, ascends vacuously."""
+    p = build_poset(
+        ["0hat", "v1", "v2", "v3", "v5", "v4", "1hat"],
+        [("0hat", "v1"), ("0hat", "v2"), ("0hat", "v3"), ("0hat", "v5"),
+         ("v1", "v4"), ("v2", "1hat"), ("v3", "1hat"), ("v4", "1hat"),
+         ("v5", "1hat")],
+    )
+    return p, CELabeling.from_edges(p, {
+        ("0hat", "v1"): 2, ("0hat", "v2"): 4, ("0hat", "v3"): 2,
+        ("0hat", "v5"): 2, ("v1", "v4"): 4, ("v2", "1hat"): 3,
+        ("v3", "1hat"): 3, ("v4", "1hat"): 4, ("v5", "1hat"): 3,
+    })
 
 
 # -- fixtures ------------------------------------------------------------

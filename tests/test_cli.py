@@ -11,7 +11,7 @@ from shellab import cli
 from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
-from conftest import shuffled_boolean_lattice
+from conftest import shuffled_boolean_lattice, tie_case
 
 
 def test_check_cc_ok(capsys):
@@ -86,6 +86,20 @@ def test_rfas_from_tcl_and_shell(tmp_path, capsys):
                 "--out", str(out)]) == 0
     assert run(["rfas-shell", "corpus:fig2-P", str(out)]) == 0
     assert run(["lc-check", "corpus:fig2-P", str(out)]) == 0
+
+
+def test_rfas_from_tcl_answers_where_check_accepts_tcl(tmp_path):
+    # the chain-order rebuild refused this TCL-labeling (exit 1) although
+    # `check --kind tcl` accepted it
+    poset, lab = tie_case()
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+    (tmp_path / "lab.json").write_text(json.dumps(shellab.labeling_to_json(lab)))
+    for argv in (["check", "--kind", "tcl", "poset.json", "lab.json"],
+                 ["rfas-from-tcl", "poset.json", "lab.json", "--out", "omega.json"],
+                 ["rfas-check", "poset.json", "omega.json"]):
+        code, out, err = _as_process(argv, tmp_path)
+        assert (code, err) == (0, b""), argv
+        assert b": ok" in out
 
 
 def test_shelling_verify_from_labeling(capsys):

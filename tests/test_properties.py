@@ -10,7 +10,6 @@ from shellab import (
     BudgetExceededError,
     CELabeling,
     FirstAtomSet,
-    NotTclError,
     brute_force_shellable,
     chain_order_dag,
     check_lc,
@@ -246,10 +245,7 @@ def test_node_keyed_tables_match_literal_oracles(p, seed):
     tables = [FirstAtomSet.from_entries(p, {
         (r, x, y): rng.choice(p.atoms_of(x, y)) for r, x, y in _rooted_intervals_literal(p)})]
     if classify(lab, p, kinds={"tcl"}).is_tcl:
-        try:
-            tables.append(rfas_from_tcl(p, lab))
-        except NotTclError:  # ties the rebuild cannot preserve
-            pass
+        tables.append(rfas_from_tcl(p, lab))
     for omega in tables:
         report = check_rfas(p, omega)
         assert report == _check_rfas_literal(p, omega)
@@ -279,15 +275,14 @@ def test_node_keyed_rfas_match_literal_oracles_on_corpus(name):
 # without a memo
 
 def _valid_tables(p, seed):
-    """The leftmost table and, when it is valid, the table read off the
-    relabeling of a shuffled chain order."""
+    """The leftmost table when it is valid, and the table read off the
+    relabeling of a shuffled chain order when that is a TCL-labeling."""
     chains = list(maximal_chains(p))
     random.Random(seed).shuffle(chains)
+    lab = relabel_from_order(p, chains)
     tables = [FirstAtomSet.from_entries(p)]
-    try:
-        tables.append(rfas_from_tcl(p, relabel_from_order(p, chains)))
-    except NotTclError:
-        pass
+    if classify(lab, p, kinds={"tcl"}).is_tcl:
+        tables.append(rfas_from_tcl(p, lab))
     return [omega for omega in tables if check_rfas(p, omega).ok]
 
 

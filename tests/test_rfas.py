@@ -1,12 +1,16 @@
 import json
+import random
+import re
 
 import pytest
 
 from shellab import (
     BudgetExceededError,
+    CELabeling,
     ChainOrderDag,
     FirstAtomSet,
     InvalidInputError,
+    InvalidPosetError,
     MissingFirstAtomError,
     NoLcExtensionError,
     NotAnRfasError,
@@ -27,14 +31,25 @@ from shellab import (
     maximal_chains,
     order_complex,
     pseudo_descents,
+    random_bounded_poset,
     relabel_from_order,
     restrict_first_atom_set,
     restriction_map,
     rfas_from_tcl,
     shelling_from_rfas,
 )
-from shellab.labeling import lex_order_max_chains
-from conftest import _check_lc_literal, _sandwich_literal, shuffled_boolean_lattice
+from shellab.chains import root_trie
+from shellab.labeling import lex_order_max_chains, load_labeling
+from shellab.poset import load_poset
+from shellab.rfas import RfasReport, RfasViolation, load_first_atom_set
+from conftest import (
+    _check_lc_literal,
+    _check_rfas_literal,
+    _rfas_from_tcl_rebuild,
+    _sandwich_literal,
+    shuffled_boolean_lattice,
+    tie_case,
+)
 
 
 # -- first atom chains and pseudo descents -------------------------------
@@ -126,6 +141,26 @@ def test_first_atom_default_is_leftmost_or_null(fig1):
     for bad in ("leftmst", ["x"], {}, False):
         with pytest.raises(InvalidInputError, match='"default" must be "leftmost" or null'):
             first_atom_set_from_json(p, {"first_atoms": [], "default": bad})
+
+
+@pytest.mark.parametrize("content, message", [
+    ("not json", "not JSON"), ("[1, 2]", "not a JSON object")])
+def test_file_loaders_raise_input_errors(tmp_path, fig1, content, message):
+    # json.JSONDecodeError, and AttributeError on a JSON list, used to
+    # escape the labeling and first atom set loaders
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    for load in (load_labeling, load_first_atom_set):
+        with pytest.raises(InvalidInputError, match=message):
+            load(fig1.poset, path)
+    with pytest.raises(InvalidPosetError, match=message):
+        load_poset(path)
+
+
+def test_first_atom_set_from_json_needs_an_object(fig1):
+    for data in ([], "first_atoms", {"first_atoms": {}}):
+        with pytest.raises(InvalidInputError, match='needs an object with a "first_atoms" list'):
+            first_atom_set_from_json(fig1.poset, data)
 
 
 def test_restriction_is_still_valid(fig8):
@@ -292,38 +327,83 @@ def test_fig8_no_random_labeling_is_compatible(fig8):
 
 
 def test_rfas_from_tcl_rejects_non_tcl(fig1):
-    from shellab.labeling import CELabeling
-
     p = fig1.poset
     constant = CELabeling.from_edges(p, {c: 1 for c in p.covers})
-    with pytest.raises(NotTclError):
+    # the interval that `check --kind tcl` names as its witness
+    witness = classify(constant, p, kinds={"tcl"}).witnesses["tcl"]
+    assert (witness["root"], witness["x"], witness["y"]) == (("0hat",), "0hat", "c")
+    with pytest.raises(NotTclError, match=re.escape(
+            "labeling is not a TCL-labeling: (('0hat',), '0hat', 'c') has 0 "
+            "topologically ascending chains")):
         rfas_from_tcl(p, constant)
 
 
 def test_rfas_from_tcl_degenerate_tie_case():
     # a labeling can satisfy the unique-ascending-chain condition without
-    # its ascending chain being lexicographically first: two chains with
-    # tied sequences put each other into descent while a chain whose
-    # two-step subintervals are all singletons ascends vacuously.  The
-    # chain-order rebuild removes the tie and with it unique ascendance,
-    # so the first-atom construction must refuse rather than mis-build.
-    from shellab.labeling import CELabeling
-
-    p = build_poset(
-        ["0hat", "v1", "v2", "v3", "v5", "v4", "1hat"],
-        [("0hat", "v1"), ("0hat", "v2"), ("0hat", "v3"), ("0hat", "v5"),
-         ("v1", "v4"), ("v2", "1hat"), ("v3", "1hat"), ("v4", "1hat"),
-         ("v5", "1hat")],
-    )
-    lab = CELabeling.from_edges(p, {
-        ("0hat", "v1"): 2, ("0hat", "v2"): 4, ("0hat", "v3"): 2,
-        ("0hat", "v5"): 2, ("v1", "v4"): 4, ("v2", "1hat"): 3,
-        ("v3", "1hat"): 3, ("v4", "1hat"): 4, ("v5", "1hat"): 3,
-    })
+    # its ascending chain being lexicographically first (see tie_case).
+    # The chain-order rebuild removes the tie and with it unique
+    # ascendance, so it refuses; the ascending chain read directly gives a
+    # valid first atom set with a shelling and an LC extension.
+    p, lab = tie_case()
     rep = classify(lab, p, kinds={"tcl", "cc"})
     assert rep.is_tcl and not rep.is_cc
     with pytest.raises(NotTclError):
-        rfas_from_tcl(p, lab)
+        _rfas_from_tcl_rebuild(p, lab)
+    omega = rfas_from_tcl(p, lab)
+    assert omega.first_atom(("0hat",), "0hat", "1hat") == "v1"
+    assert check_rfas(p, omega).ok
+    order = shelling_from_rfas(p, omega)
+    assert is_shelling(order_complex(p), [frozenset(c) for c in order]).ok
+    assert check_lc(p, omega) is not None
+
+
+def test_rfas_from_tcl_refuses_a_table_that_fails_check_rfas(fig2, monkeypatch):
+    # condition (ii) is proven only when each ascending chain is lex-least,
+    # so the table is checked before it is returned
+    import shellab.rfas
+
+    p = fig2.poset
+    violation = RfasViolation("ii", None, ("0hat",), "0hat", "1hat", "a", "no walk")
+    monkeypatch.setattr(shellab.rfas, "check_rfas",
+                        lambda *args, **kwargs: RfasReport(False, [violation]))
+    with pytest.raises(NotAnRfasError, match="not an RFAS: RfasViolation"):
+        rfas_from_tcl(p, fig2.labeling("bold"))
+
+
+def _tcl_labelings(p, rng):
+    """Labelings of p to try: small-alphabet edge and chain-edge labels, and
+    the relabeling of a shuffled chain order; only TCL-labelings are kept."""
+    trie = root_trie(p, None)
+    chains = list(maximal_chains(p))
+    rng.shuffle(chains)
+    for lab in (CELabeling.from_edges(p, {c: rng.randint(1, 2) for c in p.covers}),
+                CELabeling._from_nodes(p, [None] + [rng.randint(1, 2) for _ in trie.elem[1:]]),
+                relabel_from_order(p, chains)):
+        if classify(lab, p, kinds={"tcl"}).is_tcl:
+            yield lab
+
+
+def test_rfas_from_tcl_matches_the_rebuild_oracle():
+    # sparse random posets of up to 10 elements, where tied label sequences
+    # are common enough that the rebuild refuses often
+    refused = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        p = random_bounded_poset(seed, rng.randint(5, 10), rng.uniform(0, 0.3))
+        for lab in _tcl_labelings(p, rng):
+            omega = rfas_from_tcl(p, lab)
+            try:
+                assert _rfas_from_tcl_rebuild(p, lab).table == omega.table
+            except NotTclError:
+                refused += 1
+            report = check_rfas(p, omega)
+            assert report.ok and report == _check_rfas_literal(p, omega)
+            descents = descent_set(lab, p)
+            for m in maximal_chains(p):
+                assert pseudo_descents(omega, m) == [
+                    m[i:i + 3] for i in range(len(m) - 2)
+                    if (m[:i + 1], *m[i:i + 3]) in descents]
+    assert refused >= 50
 
 
 def test_rfas_from_tcl_chain_poset(chain3):
