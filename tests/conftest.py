@@ -157,20 +157,32 @@ def _chain_is_ascending_literal(lab, poset, root, chain):
 def _classify_literal(lab, poset, kinds):
     """classify() by direct quantification: for every rooted interval
     (r, x, y) in canonical order, the chains of [x, y] from a path DFS and
-    their label sequences with the root grown one cover at a time."""
+    their label sequences with the root grown one cover at a time.  Its
+    rooted_intervals is the count classify() must report."""
     kinds = set(kinds)
     key = poset.index.__getitem__
     report = LabelingReport()
-    need_tcl = bool(kinds & {"tcl", "cc", "ec", "self-consistent"})
-    need_cc = bool(kinds & {"cc", "ec"})
-    need_cl = bool(kinds & {"cl", "el"})
+    root_indep = all(
+        len({lab.label(r, a, b) for r in _canonical_paths(poset, poset.bottom, a)}) == 1
+        for a, b in poset.covers)
+    # EL and EC fail on root dependence alone, so no interval is decided
+    # when they are all that is asked
+    decides = root_indep or not kinds <= {"el", "ec"}
+    need_tcl = decides and bool(kinds & {"tcl", "cc", "ec", "self-consistent"})
+    need_cc = decides and bool(kinds & {"cc", "ec"})
+    need_cl = decides and bool(kinds & {"cl", "el"})
     tcl_ok, cc_ok, cl_ok = True, True, True
     per_root = []  # (r, x, above) for the self-consistency pass
     for x in poset.elements:
         above = sorted((y for y in bfs_reachable(poset.covers, x) if y != x), key=key)
-        for r in _canonical_paths(poset, poset.bottom, x):
+        for i, r in enumerate(_canonical_paths(poset, poset.bottom, x)):
             per_root.append((r, x, above))
             for y in above:
+                # the work counter: rooted intervals reached while a needed
+                # kind still holds, one per [x, y] when the labels ignore roots
+                if (i == 0 or not root_indep) and (
+                        need_tcl and tcl_ok or need_cc and cc_ok or need_cl and cl_ok):
+                    report.rooted_intervals += 1
                 chains = _canonical_paths(poset, x, y)
                 seqs = [label_sequence(lab, r, c) for c in chains]
                 if need_tcl and tcl_ok:
@@ -198,9 +210,6 @@ def _classify_literal(lab, poset, kinds):
                             "root": r, "x": x, "y": y,
                             "increasing_chains": tuple(increasing)}
 
-    root_indep = all(
-        len({lab.label(r, a, b) for r in _canonical_paths(poset, poset.bottom, a)}) == 1
-        for a, b in poset.covers)
     w = report.witnesses
     if "tcl" in kinds:
         report.is_tcl = tcl_ok
