@@ -211,12 +211,6 @@ def maximal_chains_rooted(poset: Poset, r, x, y) -> tuple:
     return interval_chains(poset, x, y)
 
 
-def chain_prefix(chain, x):
-    """The subchain of elements up to and including x (``m^x``)."""
-    i = chain.index(x)
-    return chain[: i + 1]
-
-
 def rooted_cover_count(poset: Poset) -> int:
     """Number of rooted cover relations, without enumerating them."""
     return sum(poset.path_count(a) for a, _ in poset.covers)

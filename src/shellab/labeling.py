@@ -17,7 +17,6 @@ from .chains import (
     ensure_budget,
     interval_chains,
     root_trie,
-    strictly_above,
 )
 from .errors import (
     AmbiguousOrderError,
@@ -155,34 +154,21 @@ def lex_compare(s, t) -> int:
 
 
 class _Verifier:
-    """One labeling resolved to tables indexed by the nodes of the RootTrie.
-
-    classify() takes this path for root-dependent labelings only; the
-    chain-level callers (rfas_from_tcl, descent_set, lex_order_max_chains,
-    descending_chains, is_compatible) take it for every labeling.
+    """One labeling resolved to tables indexed by the nodes of the RootTrie,
+    for the callers that read whole chains or every rooted ascent:
+    descent_set, lex_order_max_chains, descending_chains and is_compatible.
+    classify and rfas_from_tcl decide intervals with _Intervals instead.
 
     lab_in[v] is the label of the cover into node v under the root of its
     parent, and path[v] the label sequence of the root of v.  The chains of
     one rooted interval all extend the same root, so their full paths compare
     (and are prefixes of one another) exactly as their own label sequences
-    path[v][depth[g]:] are.
-
-    asc[k] tells whether the cover pair ending at node k is a topological
-    ascent under the root two steps up.  last_descent[v] (last_nonincrease[v])
-    is the depth where the last topological descent (last non-increasing
-    label pair) on the root of v starts, or -1: a chain from node g up to
-    node v is topologically ascending iff last_descent[v] < depth[g], and
-    strictly increasing iff last_nonincrease[v] < depth[g].
-
-    rep[g] is the node whose subtree decides the ascents at node g: node d
-    under g is node d - g + g0 under the first node g0 of elem[g], and a
-    root-independent labeling gives both one label, so rep[g] = g0; else g.
+    path[v][depth[g]:] are.  asc[k] tells whether the cover pair ending at
+    node k is a topological ascent under the root two steps up.
     """
 
     def __init__(self, lab: CELabeling, poset: Poset,
                  budget: int | None = DEFAULT_ROOTED_COVER_BUDGET):
-        self.lab = lab
-        self.poset = poset
         self.trie = trie = root_trie(poset, budget)
         self.lab_in = lab_in = lab._by_node(trie)
         parent = trie.parent
@@ -192,16 +178,8 @@ class _Verifier:
         self.path = path
 
     @cached_property
-    def rep(self):
-        trie = self.trie
-        if not self.lab.is_root_independent():
-            return range(len(trie))
-        nodes_of = trie.nodes_of
-        return [nodes_of[e][0] for e in trie.elem]
-
-    @cached_property
     def asc(self) -> list:
-        trie, lab_in, path, rep = self.trie, self.lab_in, self.path, self.rep
+        trie, lab_in, path = self.trie, self.lab_in, self.path
         parent, depth, elem = trie.parent, trie.depth, trie.elem
         asc = [True] * len(trie)
         for k in range(len(trie)):
@@ -209,51 +187,12 @@ class _Verifier:
                 continue
             h = parent[k]
             g = parent[h]
-            if rep[g] != g:  # k - g + rep[g] < k, so it is already decided
-                asc[k] = asc[k - g + rep[g]]
-                continue
             others = trie.within(g, elem[k])
             if len(others) > 1:
                 pair, dg = (lab_in[h], lab_in[k]), depth[g]
                 # a 3-label prefix decides the comparison with a label pair
                 asc[k] = all(pair < path[d][dg:dg + 3] for d in others if d != k)
         return asc
-
-    @cached_property
-    def last_descent(self) -> list:
-        return self._last_break(self.asc)
-
-    @cached_property
-    def last_nonincrease(self) -> list:
-        lab_in, parent = self.lab_in, self.trie.parent
-        return self._last_break(
-            [d < 2 or lab_in[parent[v]] < lab_in[v] for v, d in enumerate(self.trie.depth)])
-
-    def _last_break(self, ok) -> list:
-        parent, depth = self.trie.parent, self.trie.depth
-        out = [-1] * len(ok)
-        for v in range(1, len(ok)):
-            out[v] = out[parent[v]] if ok[v] else depth[v] - 2
-        return out
-
-    def decided(self):
-        """(g, x, above) per node g, in canonical order: x is elem[g] and
-        above the elements y > x."""
-        for x in self.poset.elements:
-            above = strictly_above(self.poset, x)
-            for g in self.trie.nodes_of[x]:
-                yield g, x, above
-
-    def intervals(self):
-        """(g, x, y, ds) per rooted interval, in canonical order: ds are the
-        end nodes of the chains of [x, y] under node g."""
-        within = self.trie.within
-        return ((g, x, y, within(g, y)) for g, x, above in self.decided() for y in above)
-
-    def chains(self, g, ds) -> tuple:
-        """The chains from node g up to each node of ds, as tuples."""
-        dg = self.trie.depth[g]
-        return tuple(self.trie.chain(d)[dg:] for d in ds)
 
 
 def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:
@@ -305,10 +244,10 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     "self-consistent"}; by default all six are checked.  EL and EC
     additionally require the labeling to be root-independent.
 
-    A root-independent labeling gives every rooted interval [x, y]_r the
-    verdicts of [x, y], so _Intervals decides each [x, y] once, without the
-    RootTrie; a root-dependent one goes through _Verifier, rooted interval
-    by rooted interval.  Either way the budget is checked first, and each
+    _Intervals decides the rooted intervals by DP over covers: once per
+    interval [x, y] for a root-independent labeling, which gives every
+    rooted interval [x, y]_r the verdicts of [x, y], and once per RootTrie
+    node of x otherwise.  Either way the budget is checked first, and each
     witness is the first failure in canonical order.
     """
     if kinds is None:
@@ -326,16 +265,14 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     need_cl = bool(kinds & {"cl", "el"})
     need_sc = "self-consistent" in kinds
     root_indep = lab.is_root_independent()
-    if root_indep:
-        tcl_ok, cc_ok, cl_ok, inconsistent = _Intervals(lab, poset).classify(
+    if root_indep or not kinds <= {"el", "ec"}:
+        trie = None if root_indep else root_trie(poset, None)
+        tcl_ok, cc_ok, cl_ok, inconsistent = _Intervals(lab, poset, trie).classify(
             report, need_tcl, need_cc, need_cl, need_sc)
-    elif kinds <= {"el", "ec"}:
+    else:
         # both fail on root dependence alone, whatever the intervals say
         tcl_ok = cc_ok = cl_ok = False
         inconsistent = None
-    else:
-        tcl_ok, cc_ok, cl_ok, inconsistent = _classify_rooted(
-            _Verifier(lab, poset, budget), report, need_tcl, need_cc, need_cl, need_sc)
 
     if "tcl" in kinds:
         report.is_tcl = tcl_ok
@@ -368,100 +305,6 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     return report
 
 
-def _classify_rooted(ver: _Verifier, report, need_tcl, need_cc, need_cl, need_sc):
-    """(tcl_ok, cc_ok, cl_ok, self-consistency witness or None), deciding
-    every rooted interval in canonical order; the first failure of each kind
-    goes to report.witnesses."""
-    trie, path, depth = ver.trie, ver.path, ver.trie.depth
-    descent = ver.last_descent if need_tcl else None
-    nonincrease = ver.last_nonincrease if need_cl else None
-
-    # a kind that is not needed starts failed, so the loop skips it and
-    # stops once every needed kind has failed; its flag is never read
-    tcl_ok, cc_ok, cl_ok = need_tcl, need_cc, need_cl
-    for g, x, y, ds in ver.intervals():
-        if not (tcl_ok or cc_ok or cl_ok):
-            break
-        report.rooted_intervals += 1
-        dg = depth[g]
-
-        if tcl_ok:
-            ascending = [d for d in ds if descent[d] < dg]
-            if len(ascending) != 1:
-                tcl_ok = False
-                report.witnesses["tcl"] = {
-                    "root": trie.chain(g), "x": x, "y": y,
-                    "ascending_chains": ver.chains(g, ascending),
-                }
-
-        if cc_ok and len(ds) > 1:
-            # sorted, a sequence that is a prefix of (or equal to) another
-            # is a prefix of its successor
-            ordered = sorted(path[d] for d in ds)
-            if any(s == t[:len(s)] for s, t in zip(ordered, ordered[1:])):
-                cc_ok = False
-                report.witnesses["cc"] = {
-                    "root": trie.chain(g), "x": x, "y": y,
-                    "label_sequences": tuple(sorted(zip(
-                        (path[d][dg:] for d in ds), ver.chains(g, ds)))),
-                }
-
-        if cl_ok:
-            increasing = [d for d in ds if nonincrease[d] < dg]
-            if not (len(increasing) == 1 and (
-                    len(ds) == 1 or path[increasing[0]] == min(path[d] for d in ds))):
-                cl_ok = False
-                report.witnesses["cl"] = {
-                    "root": trie.chain(g), "x": x, "y": y,
-                    "increasing_chains": ver.chains(g, increasing),
-                }
-    return tcl_ok, cc_ok, cl_ok, _self_consistency(ver) if need_sc and tcl_ok else None
-
-
-def _self_consistency(ver: _Verifier):
-    """The first place where a TCL-labeling is not self-consistent, or None.
-
-    It is self-consistent when atoms of lexicographically first chains stay
-    ahead of their sibling atoms in every other interval over the same
-    root."""
-    trie, path, elem = ver.trie, ver.path, ver.trie.elem
-    for g, x, above in ver.decided():
-        # per top y': lex bounds of the chains through each atom, from one
-        # scan of the subtree of each atom's node
-        bounds = {yp: {} for yp in above}
-        for c in trie.children(g):
-            seqs = {}
-            for d in range(c, trie.end[c]):
-                seqs.setdefault(elem[d], []).append(path[d])
-            for yp, ss in seqs.items():
-                bounds[yp][elem[c]] = (min(ss), max(ss))
-        # first y' where the chains through a do not all precede those
-        # through b, per atom pair (a, b)
-        late = {}
-        for y in above:
-            per_atom = bounds[y]
-            if len(per_atom) < 2:
-                continue
-            best = min(lo for lo, _ in per_atom.values())
-            for a, (lo, _) in per_atom.items():
-                if lo != best:
-                    continue
-                for b in per_atom:
-                    if b == a:
-                        continue
-                    if (a, b) not in late:
-                        late[(a, b)] = next((
-                            yp for yp in above
-                            if a in bounds[yp] and b in bounds[yp]
-                            and not bounds[yp][a][1] < bounds[yp][b][0]), None)
-                    if late[(a, b)] is not None:
-                        return {
-                            "root": trie.chain(g), "x": x, "y": y, "y2": late[(a, b)],
-                            "atom_first": a, "atom_other": b,
-                        }
-    return None
-
-
 def _lex_cmp(s, t) -> int:
     """Dictionary order of two nested label sequences (label, rest), with ()
     the empty one: -1, 0 or 1.  A loop, where tuple comparison would recurse
@@ -476,11 +319,19 @@ def _lex_cmp(s, t) -> int:
 
 
 class _Intervals:
-    """A root-independent labeling decided once per interval [x, y] by DP
-    over covers, without the RootTrie.
+    """A labeling decided interval by interval by DP over covers.
 
-    One pass per top y, in a linear extension, walks the down-set of y from
-    the top and keeps for each element v below y:
+    The DP runs over integer nodes, each with its labeled covers up[v]
+    (node, label), its element elem[v], and rank[v], its place in canonical
+    (x, root) order; ranked lists the nodes in that order, and nodes_of[e]
+    those of element e.
+    For a root-independent labeling the nodes are the poset's elements by
+    canonical index, since the first root of x stands for all of them; with
+    a RootTrie they are its nodes: node v is one root of x = elem[v], and
+    [v, y] is the rooted interval [x, y] under it.
+
+    One pass per top y, in a linear extension, walks the nodes below y from
+    the top and keeps for each of them, v:
 
     - lo[v] (hi[v]): the dictionary-least (-greatest) label sequence from v
       to y as nested pairs (label, rest) ending in (), which compare like
@@ -494,32 +345,45 @@ class _Intervals:
     u < v < w is a topological ascent iff (λ(u, v), λ(v, w)) precedes the
     sequence of every other chain of [u, w], that is iff v is the one atom
     of [u, w] where (λ(u, ·), lo(·, w)) is least; asc[u][w] is that atom
-    when w covers it.  Failures are kept per pass as a bitmask over the
-    canonical index of x, so the first failure in canonical order is a
-    lowest set bit; the passes stop once no later y can precede it.
+    when w covers it.  The first failure of a kind is the least (rank of v,
+    index of y); the passes stop once no later y can precede it.
     """
 
-    def __init__(self, lab: CELabeling, poset: Poset):
-        edges = lab._edges
-        if edges is None:  # one label per cover pair, read off the trie
-            trie = root_trie(poset, None)
-            elem, parent = trie.elem, trie.parent
-            edges = {(elem[parent[v]], elem[v]): lbl for v, lbl in enumerate(lab._lab_in) if v}
-        missing = [c for c in poset.covers if edges.get(c) is None]
-        if missing:
-            raise MissingLabelError(f"no label for covers {missing}")
+    def __init__(self, lab: CELabeling, poset: Poset, trie=None):
         self.poset = poset
-        self.edges = edges
-        self.up = {v: [(w, edges[(v, w)]) for w in ws] for v, ws in poset.up.items()}
-        self.asc = {v: {} for v in poset.elements}
+        self.trie = trie
+        if trie is None:
+            edges = lab._edges
+            if edges is None:  # one label per cover pair, read off the trie
+                t = root_trie(poset, None)
+                edges = {(t.elem[t.parent[v]], t.elem[v]): lbl
+                         for v, lbl in enumerate(lab._lab_in) if v}
+            missing = [c for c in poset.covers if edges.get(c) is None]
+            if missing:
+                raise MissingLabelError(f"no label for covers {missing}")
+            index = poset.index
+            self.elem = poset.elements
+            self.nodes_of = {e: [i] for e, i in index.items()}
+            self.up = [[(index[w], edges[(e, w)]) for w in poset.up[e]] for e in poset.elements]
+        else:
+            lab_in = lab._by_node(trie)
+            self.elem, self.nodes_of = trie.elem, trie.nodes_of
+            self.up = [[] for _ in lab_in]  # preorder, so children come in order
+            for c in range(1, len(lab_in)):
+                self.up[trie.parent[c]].append((c, lab_in[c]))
+        self.ranked = [v for e in poset.elements for v in self.nodes_of[e]]
+        self.rank = [0] * len(self.ranked)
+        for i, v in enumerate(self.ranked):
+            self.rank[v] = i
+        self.asc = [{} for _ in self.ranked]
         # a linear extension, since an up-set shrinks along every cover;
         # ties stay in canonical order
         self.order = sorted(poset.elements, key=lambda e: -len(poset.upset(e)))
 
     def classify(self, report, need_tcl, need_cc, need_cl, need_sc):
         """(tcl_ok, cc_ok, cl_ok, self-consistency witness or None), as
-        _classify_rooted gives them for the labeling's rooted intervals."""
-        poset = self.poset
+        deciding every rooted interval in canonical order gives them."""
+        poset, elem, upset = self.poset, self.elem, self.poset._upset
         first, cand, late = self.passes(need_tcl, need_cl, need_sc)
         if need_cc:
             failure = self.cc_failure()
@@ -528,56 +392,59 @@ class _Intervals:
         for kind, field in (("tcl", "ascending_chains"), ("cc", "label_sequences"),
                             ("cl", "increasing_chains")):
             if kind in first:
-                x, y = (poset.elements[i] for i in first[kind])
-                report.witnesses[kind] = {"root": self.first_root(x), "x": x, "y": y,
-                                          field: self.chains(kind, x, y)}
-        # the rooted-interval count _classify_rooted would reach: the
+                v, y = self.interval(first[kind])
+                report.witnesses[kind] = {"root": self.root(v), "x": elem[v], "y": y,
+                                          field: self.chains(kind, v, y)}
+        # the rooted-interval count of deciding them in canonical order: the
         # intervals up to the last first failure, or all of them
-        above = [len(poset.upset(x)) - 1 for x in poset.elements]
         needed = [k for k, need in (("tcl", need_tcl), ("cc", need_cc), ("cl", need_cl)) if need]
         if any(k not in first for k in needed):
-            report.rooted_intervals = sum(above)
+            report.rooted_intervals = sum(len(self.nodes_of[e]) * (len(upset[e]) - 1)
+                                          for e in poset.elements)
         else:
-            def place(xi, yi):  # of [x, y] among the intervals in canonical order
-                x = poset.elements[xi]
-                return sum(above[:xi]) + sum(1 for e in poset.upset(x)
-                                             if e != x and poset.index[e] <= yi)
+            def place(r, yi):  # of [v, y] among the rooted intervals
+                x = elem[self.ranked[r]]
+                return sum(len(upset[elem[v]]) - 1 for v in self.ranked[:r]) + sum(
+                    1 for e in upset[x] if e != x and poset.index[e] <= yi)
             report.rooted_intervals = max((place(*first[k]) for k in needed), default=0)
         inconsistent = self.inconsistency(cand, late) if need_sc and "tcl" not in first else None
         return "tcl" not in first, "cc" not in first, "cl" not in first, inconsistent
 
-    def passes(self, need_tcl, need_cl, need_sc):
-        """The first failing (index of x, index of y) of "tcl" and "cl" as
-        far as needed, and for self-consistency, per x and atom pair (a, b):
-        cand, the first y where a heads the least chains of [x, y] and b is
-        an atom too, and late, the first y' where a chain through a does not
-        precede every chain through b."""
-        poset, up, asc, order = self.poset, self.up, self.asc, self.order
-        index, upset = poset.index, poset._upset
-        n = len(order)
-        # settle[t]: the least (index of x, index of y) of the intervals
-        # [x, y] with y in order[t:]
+    def passes(self, need_tcl, need_cl, need_sc, atoms=None):
+        """The first failing (rank of v, index of y) of "tcl" and "cl" as
+        far as needed, and for self-consistency, per node v and atom pair
+        (a, b): cand, the first y where a heads the least chains of [v, y]
+        and b is an atom too, and late, the first y' where a chain through a
+        does not precede every chain through b.  A dict atoms gets, per
+        [v, y] with one ascending chain, (v, y) -> the atom it starts with.
+        """
+        poset, elem, nodes_of, up, asc = self.poset, self.elem, self.nodes_of, self.up, self.asc
+        rank, order, index, upset = self.rank, self.order, poset.index, poset._upset
+        n = len(rank)
+        # settle[t]: the least (rank of v, index of y) of the intervals
+        # [v, y] with y in order[t:]; the first node of an element ranks least
         low = {}
         for y in order:
-            low[y] = min((min(index[d], low[d]) for d in poset.down[y]), default=n)
-        settle = [(n, n)] * (n + 1)
-        for t in range(n - 1, -1, -1):
+            low[y] = min((min(rank[nodes_of[d][0]], low[d]) for d in poset.down[y]), default=n)
+        settle = [(n, n)] * (len(order) + 1)
+        for t in range(len(order) - 1, -1, -1):
             settle[t] = min(settle[t + 1], (low[order[t]], index[order[t]]))
         pending = [k for k, need in (("tcl", need_tcl), ("cl", need_cl)) if need]
         first = {}
-        cand = {v: {} for v in order} if need_sc else None
-        late = {v: {} for v in order} if need_sc else None
+        cand = [{} for _ in rank] if need_sc else None
+        late = [{} for _ in rank] if need_sc else None
 
         floor = float("-inf")
         for t, y in enumerate(order):
             if all(k in first and first[k] < settle[t] for k in pending):
                 break
             yi = index[y]
-            lo, hi, rising, top1, top2, tops = {y: ()}, {y: ()}, {}, {}, {}, {}
-            bad_tcl = bad_cl = 0
-            for v in reversed(order[:t]):
-                if y not in upset[v]:
-                    continue
+            lo = dict.fromkeys(nodes_of[y], ())
+            hi, rising, top1, top2, tops = dict(lo), {}, {}, {}, {}
+            bad_tcl = bad_cl = n
+            # the nodes of one element are incomparable, so this walks the
+            # nodes below y from the top
+            for v in (v for e in reversed(order[:t]) if y in upset[e] for v in nodes_of[e]):
                 best, top, ties, covs, keys = None, None, False, [], []
                 n_inc, b1, b2 = 0, floor, floor
                 for w, lbl in up[v]:
@@ -600,7 +467,7 @@ class _Intervals:
                         if top is None or _lex_cmp(high, top) > 0:
                             top = high
                     if need_cl:  # b1, b2 become top1[v], top2[v]
-                        c = 1 if w == y else (top1[w] > lbl) + (top2[w] > lbl)
+                        c = (top1[w] > lbl) + (top2[w] > lbl) if rest else 1
                         if c:
                             n_inc += c
                             if lbl >= b1:
@@ -608,21 +475,21 @@ class _Intervals:
                             elif lbl > b2:
                                 b2 = lbl
                 lo[v] = best
-                if not ties and w0 != y and not best[1][1]:  # y covers w0
+                if not ties and best[1] and not best[1][1]:  # y covers w0
                     asc[v][y] = w0
                 if need_cl:
                     top1[v], top2[v] = b1, b2
-                    rising[v] = w0 == y or (rising[w0] and best[0] < best[1][0])
-                    if n_inc != 1 or not rising[v]:
-                        bad_cl |= 1 << index[v]
+                    rising[v] = not best[1] or (rising[w0] and best[0] < best[1][0])
+                    if (n_inc != 1 or not rising[v]) and rank[v] < bad_cl:
+                        bad_cl = rank[v]
                 if need_tcl:  # row becomes tops[v], without the covers of count 0
                     av, row, n_asc = asc[v], [], 0
                     for w in covs:
                         c = 1
-                        if w != y:
+                        if w in tops:  # w is below y
                             c = 0
                             for z, cz in tops[w]:
-                                if av.get(z) == w:
+                                if av.get(elem[z]) == w:
                                     c += cz
                             if not c:
                                 continue
@@ -631,8 +498,11 @@ class _Intervals:
                         row.append((w, c))
                         n_asc += c
                     tops[v] = row
-                    if n_asc != 1:
-                        bad_tcl |= 1 << index[v]
+                    if n_asc == 1:
+                        if atoms is not None:
+                            atoms[(v, y)] = row[0][0]
+                    elif rank[v] < bad_tcl:
+                        bad_tcl = rank[v]
                 if need_sc:
                     hi[v] = top
                     if len(keys) > 1:
@@ -649,84 +519,104 @@ class _Intervals:
                                         and lv.get(pair, n) > yi:
                                     lv[pair] = yi
             for kind, bad in (("tcl", bad_tcl), ("cl", bad_cl)):
-                if bad:
-                    key = ((bad & -bad).bit_length() - 1, yi)
-                    if key < first.get(kind, (n, n)):
-                        first[kind] = key
+                if bad < n and (bad, yi) < first.get(kind, (n, n)):
+                    first[kind] = (bad, yi)
         return first, cand, late
 
     def cc_failure(self):
-        """The first (index of x, index of y) where two chains of [x, y] have
+        """The first (rank of v, index of y) where two chains of [v, y] have
         label sequences one a prefix of (or equal to) the other, or None.
 
-        Such chains part at a fork u >= x through two covers with one label
-        and go on with equal labels until one is at y and the other at some
-        b <= y; the pairs of elements so reached are closed upward from each
-        fork."""
-        poset, up, index, upset = self.poset, self.up, self.poset.index, self.poset._upset
+        Such chains part at a fork u >= v and go on with equal labels until
+        one is at y and the other at some b <= y.  From each fork the nodes
+        reached by one label sequence are walked together as a state, each
+        with its number of chains up to 2, while they hold two chains."""
+        elem, up, index, upset = self.elem, self.up, self.poset.index, self.poset._upset
         bad = {}
-        for u in poset.elements:
-            seen = {(a, b) for i, (a, la) in enumerate(up[u])
-                    for b, lb in up[u][i + 1:] if la == lb}
-            stack, mask = list(seen), 0
+        for u in range(len(up)):
+            stack, seen, mask = [{u: 1}], set(), 0
             while stack:
-                p, q = stack.pop()
-                if q in upset[p]:
-                    mask |= 1 << index[q]
-                if p in upset[q]:
-                    mask |= 1 << index[p]
-                for p2, lp in up[p]:
-                    for q2, lq in up[q]:
-                        if lp == lq:
-                            pair = (p2, q2) if index[p2] <= index[q2] else (q2, p2)
-                            if pair not in seen:
-                                seen.add(pair)
-                                stack.append(pair)
+                steps = {}  # label -> the next state
+                for p, m in stack.pop().items():
+                    for w, lbl in up[p]:
+                        state = steps.setdefault(lbl, {})
+                        state[w] = min(2, state.get(w, 0) + m)
+                for state in steps.values():
+                    if len(state) == 1 and 2 not in state.values():
+                        continue  # one chain
+                    key = frozenset(state.items())
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    stack.append(state)
+                    chains = {}  # element -> the chains of the state that end there
+                    for w, m in state.items():
+                        chains[elem[w]] = chains.get(elem[w], 0) + m
+                    for y, c in chains.items():
+                        if c > 1 or any(y in upset[b] for b in chains if b != y):
+                            mask |= 1 << index[y]
             if mask:
                 bad[u] = mask
         if not bad:
             return None
-        fails = {}  # x -> the bad y of every fork u >= x
-        for x in reversed(self.order):
-            fails[x] = bad.get(x, 0)
-            for w in poset.up[x]:
-                fails[x] |= fails[w]
-        x = next(x for x in poset.elements if fails[x])
-        return index[x], (fails[x] & -fails[x]).bit_length() - 1
+        fails = {}  # v -> the bad y of every fork at or above v
+        for e in reversed(self.order):
+            for v in self.nodes_of[e]:
+                fails[v] = bad.get(v, 0)
+                for w, _ in up[v]:
+                    fails[v] |= fails[w]
+        v = next(v for v in self.ranked if fails[v])
+        return self.rank[v], (fails[v] & -fails[v]).bit_length() - 1
 
     def inconsistency(self, cand, late):
-        """The self-consistency witness _self_consistency gives, from the
-        pass tables: the first x, then the first y, a and b in canonical
-        order."""
-        elements, index = self.poset.elements, self.poset.index
-        for x in elements:
-            hits = [(yi, index[a], index[b], a, b) for (a, b), yi in cand[x].items()
-                    if (a, b) in late[x]]
+        """The first place where a TCL-labeling is not self-consistent, or
+        None: the first v, then the first y, a and b in canonical order,
+        where a heads the least chains of [v, y] and a chain through a does
+        not precede every chain through its sibling b in some [v, y']."""
+        elements, index, elem = self.poset.elements, self.poset.index, self.elem
+        for v in self.ranked:
+            hits = [(yi, index[elem[a]], index[elem[b]], a, b)
+                    for (a, b), yi in cand[v].items() if (a, b) in late[v]]
             if hits:
                 yi, _, _, a, b = min(hits)
-                return {"root": self.first_root(x), "x": x, "y": elements[yi],
-                        "y2": elements[late[x][(a, b)]], "atom_first": a, "atom_other": b}
+                return {"root": self.root(v), "x": elem[v], "y": elements[yi],
+                        "y2": elements[late[v][(a, b)]],
+                        "atom_first": elem[a], "atom_other": elem[b]}
         return None
 
-    def first_root(self, x) -> tuple:
-        """The root of x that comes first in canonical order: from the
-        bottom, the first cover below x at each step."""
-        up, upset, root = self.poset.up, self.poset._upset, [self.poset.bottom]
+    def interval(self, key):
+        """The node v and element y of a (rank of v, index of y)."""
+        return self.ranked[key[0]], self.poset.elements[key[1]]
+
+    def root(self, v) -> tuple:
+        """The root of node v: its RootTrie chain, or else the root of elem[v]
+        that comes first in canonical order, from the bottom the first cover
+        below elem[v] at each step."""
+        if self.trie is not None:
+            return self.trie.chain(v)
+        x, up, upset = self.elem[v], self.poset.up, self.poset._upset
+        root = [self.poset.bottom]
         while root[-1] != x:
             root.append(next(w for w in up[root[-1]] if x in upset[w]))
         return tuple(root)
 
-    def chains(self, kind, x, y) -> tuple:
-        """The chains of [x, y] that the witness of kind lists."""
-        chains = interval_chains(self.poset, x, y)
-        seqs = [tuple(map(self.edges.__getitem__, zip(c, c[1:]))) for c in chains]
+    def chains(self, kind, v, y) -> tuple:
+        """The chains of [v, y] that the witness of kind lists."""
+        elem, up, upset, asc = self.elem, self.up, self.poset._upset, self.asc
+        found, stack = [], [((v,), ())]
+        while stack:  # preorder, so the chains come in lexicographic order
+            nodes, seq = stack.pop()
+            if elem[nodes[-1]] == y:
+                found.append((seq, tuple(map(elem.__getitem__, nodes)), nodes))
+                continue
+            stack.extend((nodes + (w,), seq + (lbl,))
+                         for w, lbl in reversed(up[nodes[-1]]) if y in upset[elem[w]])
         if kind == "cc":
-            return tuple(sorted(zip(seqs, chains)))
+            return tuple(sorted((s, c) for s, c, _ in found))
         if kind == "cl":
-            return tuple(c for c, s in zip(chains, seqs) if all(a < b for a, b in zip(s, s[1:])))
-        asc = self.asc
-        return tuple(c for c in chains
-                     if all(asc[u].get(w) == v for u, v, w in zip(c, c[1:], c[2:])))
+            return tuple(c for s, c, _ in found if all(a < b for a, b in zip(s, s[1:])))
+        return tuple(c for _, c, nodes in found if all(
+            asc[u].get(elem[w]) == t for u, t, w in zip(nodes, nodes[1:], nodes[2:])))
 
 
 def descent_set(lab: CELabeling, poset: Poset,

@@ -33,7 +33,7 @@ from .errors import (
     entry_error,
     unique_table,
 )
-from .labeling import CELabeling, _Verifier
+from .labeling import CELabeling, _Intervals, _Verifier
 from .poset import Poset, build_poset, load_json_object
 from .relabel import relabel_from_order
 from .shelling import _orderings
@@ -433,16 +433,19 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     Condition (i) holds for any TCL-labeling, and (ii) whenever each
     ascending chain is its interval's strictly lex-least chain; a table
     that fails check_rfas raises NotAnRfasError."""
-    ver = _Verifier(lab, poset, budget)
-    trie, descent, depth = ver.trie, ver.last_descent, ver.trie.depth
+    trie = root_trie(poset, budget)
+    intervals = _Intervals(lab, poset, None if lab.is_root_independent() else trie)
     table = {}
-    for g, x, y in rooted_interval_nodes(poset, trie):
-        ascending = [d for d in trie.within(g, y) if descent[d] < depth[g]]
-        if len(ascending) != 1:
-            raise NotTclError(
-                f"labeling is not a TCL-labeling: ({trie.chain(g)!r}, {x!r}, {y!r}) "
-                f"has {len(ascending)} topologically ascending chains")
-        table[(g, y)] = next(c for c in trie.children(g) if ascending[0] < trie.end[c])
+    first = intervals.passes(True, False, False, table)[0]
+    if "tcl" in first:
+        v, y = intervals.interval(first["tcl"])
+        raise NotTclError(
+            f"labeling is not a TCL-labeling: ({intervals.root(v)!r}, {intervals.elem[v]!r}, "
+            f"{y!r}) has {len(intervals.chains('tcl', v, y))} topologically ascending chains")
+    if intervals.trie is None:  # the atom of [x, y] serves every root of x
+        elem = poset.elements
+        table = {(g, y): trie.child(g, elem[a]) for (v, y), a in table.items()
+                 for g in trie.nodes_of[elem[v]]}
     omega = FirstAtomSet(poset, table)
     violations = check_rfas(poset, omega, budget=budget).violations
     if violations:

@@ -356,6 +356,17 @@ def _check_rfas_literal(poset, omega, literal_ii=False):
     return RfasReport(not violations, violations)
 
 
+def _last_descent(ver):
+    """Per trie node v, the depth where the last topological descent on the
+    root of v starts, or -1: a chain from node g up to node v is
+    topologically ascending iff last_descent[v] < depth[g]."""
+    parent, depth = ver.trie.parent, ver.trie.depth
+    out = [-1] * len(depth)
+    for v in range(1, len(depth)):
+        out[v] = out[parent[v]] if ver.asc[v] else depth[v] - 2
+    return out
+
+
 def _rfas_from_tcl_rebuild(poset, lab, budget=DEFAULT_ROOTED_COVER_BUDGET):
     """rfas_from_tcl by way of the chain-order rebuild: the labeling is first
     rebuilt from its lexicographic chain order; each rooted interval's
@@ -368,7 +379,7 @@ def _rfas_from_tcl_rebuild(poset, lab, budget=DEFAULT_ROOTED_COVER_BUDGET):
     gamma = lex_order_max_chains(lab, poset, tie_break=True)
     relabeled = relabel_from_order(poset, gamma, budget)
     ver = _Verifier(relabeled, poset, budget)
-    trie, descent = ver.trie, ver.last_descent
+    trie, descent = ver.trie, _last_descent(ver)
     table = {}
     for g, x, y in rooted_interval_nodes(poset, trie):
         ascending = [d for d in trie.within(g, y) if descent[d] < trie.depth[g]]
@@ -578,6 +589,20 @@ def diamond_tower(k):
             labels[(t, f"b{j + 1}")] = 3 * j + 3
     poset = build_poset(elements, list(labels))
     return poset, CELabeling.from_edges(poset, labels)
+
+
+def bounded(masks):
+    """The bounded poset of a census class: entry i of masks is the bitmask
+    of the interior elements below v_i, over v_0 ... v_(i-1), and 0hat and
+    1hat are adjoined."""
+    names = [f"v{i}" for i in range(len(masks))]
+    below = [{j for j in range(i) if mask >> j & 1} for i, mask in enumerate(masks)]
+    covers = [(names[j], names[i]) for i in range(len(masks)) for j in below[i]
+              if not any(j in below[k] for k in below[i])]
+    covers += [("0hat", names[i]) for i in range(len(masks)) if not below[i]]
+    covers += [(names[i], "1hat") for i in range(len(masks))
+               if not any(i in b for b in below)]
+    return build_poset(["0hat", *names, "1hat"], covers)
 
 
 def tie_case():

@@ -175,7 +175,7 @@ def test_rooted_cover_budget_still_applies_to_edge_labelings():
 def test_root_dependence_alone_fails_el_and_ec(monkeypatch):
     p, edge = shuffled_boolean_lattice(4, 1)
     lab = _three_labelings(p, edge)["root-dependent"]
-    monkeypatch.setattr(labeling, "_Verifier", None)  # no interval is decided
+    monkeypatch.setattr(labeling, "_Intervals", None)  # no interval is decided
     for kinds in ({"el"}, {"ec"}, {"el", "ec"}):
         assert classify(lab, p, kinds=kinds).witnesses == {
             kind: {"root_independent": False} for kind in kinds}
