@@ -23,12 +23,13 @@ from shellab import (
     corpus,
     label_sequence,
 )
-from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, rooted_interval_nodes
-from shellab.errors import NotTclError
-from shellab.labeling import _Verifier, classify, lex_order_max_chains
+from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, root_trie, rooted_interval_nodes
+from shellab.errors import AmbiguousOrderError, NotAnRfasError, NotTclError
+from shellab.labeling import classify, descent_set, lex_order_max_chains
 from shellab.rao import _Search
 from shellab.relabel import relabel_from_order
-from shellab.rfas import FirstAtomSet, RfasReport, RfasViolation
+from shellab.rfas import FirstAtomSet, RfasReport, RfasViolation, is_compatible, rfas_from_tcl
+from shellab.shelling import descending_chains
 
 
 # -- independent oracles -------------------------------------------------
@@ -252,6 +253,75 @@ def _descent_set_literal(lab, poset):
     return frozenset(out)
 
 
+def _descending_chains_literal(lab, poset, root, x, y):
+    """descending_chains() by direct quantification: the chains of [x, y]
+    none of whose adjacent cover pairs _is_ascent_literal accepts, the root
+    grown one cover at a time."""
+    out = []
+    for c in _canonical_paths(poset, x, y):
+        r = tuple(root)
+        for i in range(len(c) - 2):
+            if _is_ascent_literal(lab, poset, r, c[i], c[i + 1], c[i + 2]):
+                break
+            r = r + (c[i + 1],)
+        else:
+            out.append(c)
+    return out
+
+
+def _is_compatible_literal(lab, omega, poset):
+    """is_compatible() by direct quantification: in every rooted interval
+    (r, x, y) some chain through the designated atom attains the least label
+    sequence of [x, y]_r."""
+    for r, x, y in _rooted_intervals_literal(poset):
+        seqs = {c: label_sequence(lab, r, c) for c in _canonical_paths(poset, x, y)}
+        best, atom = min(seqs.values()), omega.first_atom(r, x, y)
+        if not any(s == best and c[1] == atom for c, s in seqs.items()):
+            return False
+    return True
+
+
+def _lex_order_literal(lab, poset, tie_break=False):
+    """lex_order_max_chains() by sorting the maximal chains of a path DFS on
+    their label sequences, ties in canonical chain order."""
+    chains = _canonical_paths(poset, poset.bottom, poset.top)
+    keyed = sorted((label_sequence(lab, (poset.bottom,), c), i, c) for i, c in enumerate(chains))
+    if not tie_break:
+        for (s, _, c), (t, _, d) in zip(keyed, keyed[1:]):
+            if s == t:
+                raise AmbiguousOrderError(f"chains {c!r} and {d!r} share label sequence {s!r}")
+    return tuple(c for _, _, c in keyed)
+
+
+def assert_readers_match_literal(lab, poset, rng):
+    """descent_set, descending_chains (every rooted interval), is_compatible
+    (a random first atom table, and rfas_from_tcl's when the labeling is
+    TCL) and lex_order_max_chains (with and without tie_break, errors
+    included) against the literal oracles."""
+    assert descent_set(lab, poset) == _descent_set_literal(lab, poset)
+    for r, x, y in _rooted_intervals_literal(poset):
+        assert (descending_chains(poset, lab, x, y, r)
+                == _descending_chains_literal(lab, poset, r, x, y)), (r, x, y)
+    tables = [FirstAtomSet.from_entries(poset, {
+        (r, x, y): rng.choice(poset.atoms_of(x, y))
+        for r, x, y in _rooted_intervals_literal(poset)})]
+    if classify(lab, poset, kinds={"tcl"}).is_tcl:
+        try:
+            tables.append(rfas_from_tcl(poset, lab))
+        except NotAnRfasError:
+            pass
+    for omega in tables:
+        assert is_compatible(lab, omega, poset) == _is_compatible_literal(lab, omega, poset)
+    for tie_break in (False, True):
+        outcomes = []
+        for order in (lex_order_max_chains, _lex_order_literal):
+            try:
+                outcomes.append(order(lab, poset, tie_break=tie_break))
+            except AmbiguousOrderError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], tie_break
+
+
 def _self_consistency_witness(lab, poset, per_root):
     """First (r, x, y, y', a, b) where a heads the lex-first chains of
     [x, y]_r but some chain through a does not precede every chain through
@@ -356,42 +426,33 @@ def _check_rfas_literal(poset, omega, literal_ii=False):
     return RfasReport(not violations, violations)
 
 
-def _last_descent(ver):
-    """Per trie node v, the depth where the last topological descent on the
-    root of v starts, or -1: a chain from node g up to node v is
-    topologically ascending iff last_descent[v] < depth[g]."""
-    parent, depth = ver.trie.parent, ver.trie.depth
-    out = [-1] * len(depth)
-    for v in range(1, len(depth)):
-        out[v] = out[parent[v]] if ver.asc[v] else depth[v] - 2
-    return out
-
-
 def _rfas_from_tcl_rebuild(poset, lab, budget=DEFAULT_ROOTED_COVER_BUDGET):
     """rfas_from_tcl by way of the chain-order rebuild: the labeling is first
     rebuilt from its lexicographic chain order; each rooted interval's
     designated atom is the one on the unique topologically ascending chain
-    of the rebuilt labeling.  Ties the input never broke can leave the
-    rebuilt labeling with no unique ascending chain, and then it refuses.
+    of the rebuilt labeling, picked by _chain_is_ascending_literal.  Ties
+    the input never broke can leave the rebuilt labeling with no unique
+    ascending chain, and then it refuses.
     """
     if not classify(lab, poset, kinds={"tcl"}, budget=budget).is_tcl:
         raise NotTclError("labeling is not a TCL-labeling")
     gamma = lex_order_max_chains(lab, poset, tie_break=True)
     relabeled = relabel_from_order(poset, gamma, budget)
-    ver = _Verifier(relabeled, poset, budget)
-    trie, descent = ver.trie, _last_descent(ver)
+    trie = root_trie(poset, budget)
     table = {}
     for g, x, y in rooted_interval_nodes(poset, trie):
-        ascending = [d for d in trie.within(g, y) if descent[d] < trie.depth[g]]
+        r = trie.chain(g)
+        ascending = [c for c in _canonical_paths(poset, x, y)
+                     if _chain_is_ascending_literal(relabeled, poset, r, c)]
         if len(ascending) != 1:
             # happens only when the source labeling has tied label sequences
             # whose removal by the rebuild breaks unique ascendance
             raise NotTclError(
                 f"rebuilt labeling has {len(ascending)} ascending chains in "
-                f"({trie.chain(g)!r}, {x!r}, {y!r}); the source labeling's chain order "
+                f"({r!r}, {x!r}, {y!r}); the source labeling's chain order "
                 "has ties that the rebuild cannot preserve"
             )
-        table[(g, y)] = next(c for c in trie.children(g) if ascending[0] < trie.end[c])
+        table[(g, y)] = trie.child(g, ascending[0][1])
     return FirstAtomSet(poset, table)
 
 

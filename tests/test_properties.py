@@ -51,6 +51,7 @@ from conftest import (
     _rooted_intervals_literal,
     _sandwich_literal,
     _shelling_violation_literal,
+    assert_readers_match_literal,
     bfs_reachable,
     brute_paths,
     brute_rooted_covers,
@@ -218,6 +219,7 @@ def test_classify_matches_literal_oracle(p, label_seed, spread, rooted):
         rep, literal = classify(lab, p, kinds=kinds), _classify_literal(lab, p, kinds)
         assert rep == literal
         assert rep.rooted_intervals == literal.rooted_intervals
+    assert_readers_match_literal(lab, p, rng)
 
 
 @pytest.mark.parametrize("seed, n", [(75, 7), (137, 8), (140, 7)])

@@ -7,8 +7,8 @@ without the poset's RootTrie.  The pinned posets carry labelings that pass
 CL, where random labels rarely do once a poset has more than one maximal
 chain; each gets the edge labeling, the same labels as a chain-edge table,
 and that table with one label made root-dependent.  Every kind, with its
-witness and work counter, and the descent set must match the literal
-oracles.
+witness and work counter, must match the literal oracles, and so must
+descent_set, descending_chains, is_compatible and lex_order_max_chains.
 """
 
 import random
@@ -23,7 +23,6 @@ from shellab import (
     build_poset,
     classify,
     corpus,
-    descent_set,
     is_graded,
     lex_order_max_chains,
     random_bounded_poset,
@@ -35,7 +34,7 @@ from shellab.chains import root_trie
 from shellab.labeling import KINDS
 from conftest import (
     _classify_literal,
-    _descent_set_literal,
+    assert_readers_match_literal,
     diamond_tower,
     shuffled_boolean_lattice,
 )
@@ -85,10 +84,11 @@ def test_pinned_cl_posets_match_literal_oracles(name):
     labs = _three_labelings(p, edge)
     assert labs["chain-edge"].is_root_independent()
     assert not labs["root-dependent"].is_root_independent()
+    rng = random.Random(name)
     for lab in labs.values():
         for kinds in [{kind} for kind in KINDS] + [set(KINDS)]:
             _assert_matches_literal(lab, p, kinds)
-        assert descent_set(lab, p) == _descent_set_literal(lab, p)
+        assert_readers_match_literal(lab, p, rng)
 
 
 def _assert_matches_literal(lab, p, kinds):
