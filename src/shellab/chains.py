@@ -194,7 +194,10 @@ def roots(poset: Poset, x) -> tuple:
 
 def is_root(poset: Poset, r, x) -> bool:
     """True iff r is a saturated chain from the bottom element up to x."""
-    r = tuple(r)
+    try:
+        r = tuple(r)
+    except TypeError:  # not a sequence
+        return False
     return (bool(r) and r[0] == poset.bottom and r[-1] == x
             and all(b in poset.up.get(a, ()) for a, b in zip(r, r[1:])))
 

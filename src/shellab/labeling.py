@@ -9,18 +9,18 @@ prefix precedes its extensions).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from ._record import Record
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
     ensure_budget,
     interval_chains,
+    is_root,
     root_trie,
 )
 from .errors import (
     AmbiguousOrderError,
     InvalidInputError,
+    InvalidRootError,
     MissingLabelError,
     entry_error,
     unique_table,
@@ -80,6 +80,8 @@ class CELabeling:
 
     def label(self, root, u, v) -> int:
         if self._edges is not None:
+            if not is_root(self.poset, root, u):
+                raise InvalidRootError(f"{root!r} is not a root of {u!r}")
             try:
                 return self._edges[(u, v)]
             except KeyError:
@@ -153,48 +155,6 @@ def lex_compare(s, t) -> int:
     return -1 if s < t else 1
 
 
-class _Verifier:
-    """One labeling resolved to tables indexed by the nodes of the RootTrie,
-    for the callers that read whole chains or every rooted ascent:
-    descent_set, lex_order_max_chains, descending_chains and is_compatible.
-    classify and rfas_from_tcl decide intervals with _Intervals instead.
-
-    lab_in[v] is the label of the cover into node v under the root of its
-    parent, and path[v] the label sequence of the root of v.  The chains of
-    one rooted interval all extend the same root, so their full paths compare
-    (and are prefixes of one another) exactly as their own label sequences
-    path[v][depth[g]:] are.  asc[k] tells whether the cover pair ending at
-    node k is a topological ascent under the root two steps up.
-    """
-
-    def __init__(self, lab: CELabeling, poset: Poset,
-                 budget: int | None = DEFAULT_ROOTED_COVER_BUDGET):
-        self.trie = trie = root_trie(poset, budget)
-        self.lab_in = lab_in = lab._by_node(trie)
-        parent = trie.parent
-        path = [()]
-        for v in range(1, len(trie)):
-            path.append(path[parent[v]] + (lab_in[v],))
-        self.path = path
-
-    @cached_property
-    def asc(self) -> list:
-        trie, lab_in, path = self.trie, self.lab_in, self.path
-        parent, depth, elem = trie.parent, trie.depth, trie.elem
-        asc = [True] * len(trie)
-        for k in range(len(trie)):
-            if depth[k] < 2:
-                continue
-            h = parent[k]
-            g = parent[h]
-            others = trie.within(g, elem[k])
-            if len(others) > 1:
-                pair, dg = (lab_in[h], lab_in[k]), depth[g]
-                # a 3-label prefix decides the comparison with a label pair
-                asc[k] = all(pair < path[d][dg:dg + 3] for d in others if d != k)
-        return asc
-
-
 def is_topological_ascent(lab: CELabeling, r, u, v, w) -> bool:
     """True iff the label pair of u < v < w strictly dictionary-precedes the
     label sequence of every other maximal chain of [u, w]_r.
@@ -248,7 +208,9 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     interval [x, y] for a root-independent labeling, which gives every
     rooted interval [x, y]_r the verdicts of [x, y], and once per RootTrie
     node of x otherwise.  Either way the budget is checked first, and each
-    witness is the first failure in canonical order.
+    witness is the first failure in canonical order.  EL and EC fail on
+    root dependence alone, so when they are all that is asked a
+    root-dependent labeling decides no interval.
     """
     if kinds is None:
         kinds = KINDS
@@ -264,14 +226,13 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     need_cc = bool(kinds & {"cc", "ec"})
     need_cl = bool(kinds & {"cl", "el"})
     need_sc = "self-consistent" in kinds
-    root_indep = lab.is_root_independent()
-    if root_indep or not kinds <= {"el", "ec"}:
-        trie = None if root_indep else root_trie(poset, None)
-        tcl_ok, cc_ok, cl_ok, inconsistent = _Intervals(lab, poset, trie).classify(
+    if kinds - {"el", "ec"} or (kinds and lab.is_root_independent()):
+        intervals = _Intervals(lab, poset)
+        root_indep = intervals.trie is None
+        tcl_ok, cc_ok, cl_ok, inconsistent = intervals.classify(
             report, need_tcl, need_cc, need_cl, need_sc)
     else:
-        # both fail on root dependence alone, whatever the intervals say
-        tcl_ok = cc_ok = cl_ok = False
+        root_indep = tcl_ok = cc_ok = cl_ok = False
         inconsistent = None
 
     if "tcl" in kinds:
@@ -325,10 +286,13 @@ class _Intervals:
     (node, label), its element elem[v], and rank[v], its place in canonical
     (x, root) order; ranked lists the nodes in that order, and nodes_of[e]
     those of element e.
-    For a root-independent labeling the nodes are the poset's elements by
-    canonical index, since the first root of x stands for all of them; with
-    a RootTrie they are its nodes: node v is one root of x = elem[v], and
-    [v, y] is the rooted interval [x, y] under it.
+    This is the one place that picks the nodes.  For a root-independent
+    labeling they are the poset's elements by canonical index, since the
+    first root of x stands for all of them, and no RootTrie is built;
+    otherwise they are the nodes of the poset's RootTrie, self.trie: node v
+    is one root of x = elem[v], and [v, y] is the rooted interval [x, y]
+    under it.  When the caller passes that trie, at[g] is the DP node of
+    its node g.
 
     One pass per top y, in a linear extension, walks the nodes below y from
     the top and keeps for each of them, v:
@@ -351,8 +315,8 @@ class _Intervals:
 
     def __init__(self, lab: CELabeling, poset: Poset, trie=None):
         self.poset = poset
-        self.trie = trie
-        if trie is None:
+        if lab.is_root_independent():
+            self.trie = None
             edges = lab._edges
             if edges is None:  # one label per cover pair, read off the trie
                 t = root_trie(poset, None)
@@ -365,7 +329,10 @@ class _Intervals:
             self.elem = poset.elements
             self.nodes_of = {e: [i] for e, i in index.items()}
             self.up = [[(index[w], edges[(e, w)]) for w in poset.up[e]] for e in poset.elements]
+            self.at = None if trie is None else [index[e] for e in trie.elem]
         else:
+            self.trie = trie = root_trie(poset, None)
+            self.at = range(len(trie))
             lab_in = lab._by_node(trie)
             self.elem, self.nodes_of = trie.elem, trie.nodes_of
             self.up = [[] for _ in lab_in]  # preorder, so children come in order
@@ -410,13 +377,16 @@ class _Intervals:
         inconsistent = self.inconsistency(cand, late) if need_sc and "tcl" not in first else None
         return "tcl" not in first, "cc" not in first, "cl" not in first, inconsistent
 
-    def passes(self, need_tcl, need_cl, need_sc, atoms=None):
+    def passes(self, need_tcl=False, need_cl=False, need_sc=False, atoms=None, least=None):
         """The first failing (rank of v, index of y) of "tcl" and "cl" as
         far as needed, and for self-consistency, per node v and atom pair
         (a, b): cand, the first y where a heads the least chains of [v, y]
         and b is an atom too, and late, the first y' where a chain through a
         does not precede every chain through b.  A dict atoms gets, per
-        [v, y] with one ascending chain, (v, y) -> the atom it starts with.
+        [v, y] with one ascending chain, (v, y) -> the atom it starts with,
+        and a dict least, per [v, y], (v, y) -> the atoms that head its
+        least chains.  With neither "tcl" nor "cl" needed, every y is
+        passed, so asc holds the ascent atom of every interval.
         """
         poset, elem, nodes_of, up, asc = self.poset, self.elem, self.nodes_of, self.up, self.asc
         rank, order, index, upset = self.rank, self.order, poset.index, poset._upset
@@ -435,8 +405,9 @@ class _Intervals:
         late = [{} for _ in rank] if need_sc else None
 
         floor = float("-inf")
+        keep = need_sc or least is not None
         for t, y in enumerate(order):
-            if all(k in first and first[k] < settle[t] for k in pending):
+            if pending and all(k in first and first[k] < settle[t] for k in pending):
                 break
             yi = index[y]
             lo = dict.fromkeys(nodes_of[y], ())
@@ -461,9 +432,10 @@ class _Intervals:
                             w0, best, ties = w, key, False
                         elif c == 0:
                             ties = True
+                    if keep:
+                        keys.append((w, lbl, key))
                     if need_sc:
                         high = (lbl, hi[w])
-                        keys.append((w, lbl, key, high))
                         if top is None or _lex_cmp(high, top) > 0:
                             top = high
                     if need_cl:  # b1, b2 become top1[v], top2[v]
@@ -503,17 +475,21 @@ class _Intervals:
                             atoms[(v, y)] = row[0][0]
                     elif rank[v] < bad_tcl:
                         bad_tcl = rank[v]
+                if keep:
+                    heads = [w for w, _, key in keys if _lex_cmp(key, best) == 0] if ties else [w0]
+                    if least is not None:
+                        least[(v, y)] = heads
                 if need_sc:
                     hi[v] = top
                     if len(keys) > 1:
                         cv, lv = cand[v], late[v]
-                        for a, la, lo_a, hi_a in keys:
-                            heads = _lex_cmp(lo_a, best) == 0
-                            for b, lb, lo_b, _ in keys:
+                        for a, la, _ in keys:
+                            leads, hi_a = a in heads, (la, hi[a])
+                            for b, lb, lo_b in keys:
                                 if b == a:
                                     continue
                                 pair = (a, b)
-                                if heads and cv.get(pair, n) > yi:
+                                if leads and cv.get(pair, n) > yi:
                                     cv[pair] = yi
                                 if (la > lb or la == lb and _lex_cmp(hi_a, lo_b) >= 0) \
                                         and lv.get(pair, n) > yi:
@@ -584,6 +560,11 @@ class _Intervals:
                         "atom_first": elem[a], "atom_other": elem[b]}
         return None
 
+    def ascends(self, u, v, w) -> bool:
+        """Whether nodes u < v < w, each covering the last, are a topological
+        ascent; asc must hold [u, w], as after a pass of every y."""
+        return self.asc[u].get(self.elem[w]) == v
+
     def interval(self, key):
         """The node v and element y of a (rank of v, index of y)."""
         return self.ranked[key[0]], self.poset.elements[key[1]]
@@ -602,7 +583,7 @@ class _Intervals:
 
     def chains(self, kind, v, y) -> tuple:
         """The chains of [v, y] that the witness of kind lists."""
-        elem, up, upset, asc = self.elem, self.up, self.poset._upset, self.asc
+        elem, up, upset = self.elem, self.up, self.poset._upset
         found, stack = [], [((v,), ())]
         while stack:  # preorder, so the chains come in lexicographic order
             nodes, seq = stack.pop()
@@ -616,17 +597,20 @@ class _Intervals:
         if kind == "cl":
             return tuple(c for s, c, _ in found if all(a < b for a, b in zip(s, s[1:])))
         return tuple(c for _, c, nodes in found if all(
-            asc[u].get(elem[w]) == t for u, t, w in zip(nodes, nodes[1:], nodes[2:])))
+            map(self.ascends, nodes, nodes[1:], nodes[2:])))
 
 
 def descent_set(lab: CELabeling, poset: Poset,
                 budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> frozenset:
     """All rooted adjacent cover pairs (r, u, v, w) that are topological
     descents; the complement over the same domain are the ascents."""
-    ver = _Verifier(lab, poset, budget)
-    elem, parent, chain = ver.trie.elem, ver.trie.parent, ver.trie.chain
+    trie = root_trie(poset, budget)
+    dp = _Intervals(lab, poset, trie)
+    dp.passes()
+    at, elem, parent, depth, chain = dp.at, trie.elem, trie.parent, trie.depth, trie.chain
     return frozenset((chain(parent[h]), elem[parent[h]], elem[h], elem[k])
-                     for k, (h, ok) in enumerate(zip(parent, ver.asc)) if not ok)
+                     for k, h in enumerate(parent)
+                     if depth[k] > 1 and not dp.ascends(at[parent[h]], at[h], at[k]))
 
 
 def lex_order_max_chains(lab: CELabeling, poset: Poset, tie_break: bool = False):
@@ -637,8 +621,11 @@ def lex_order_max_chains(lab: CELabeling, poset: Poset, tie_break: bool = False)
     breaks ties.
     """
     # labeling every maximal chain visits every root, so no budget applies
-    ver = _Verifier(lab, poset, None)
-    trie, path = ver.trie, ver.path
+    trie = root_trie(poset, None)
+    lab_in, parent = lab._by_node(trie), trie.parent
+    path = [()]  # the label sequence of the root of each node
+    for v in range(1, len(trie)):
+        path.append(path[parent[v]] + (lab_in[v],))
     leaves = sorted(trie.nodes_of[poset.top], key=lambda d: (path[d], d))
     if not tie_break:
         for d1, d2 in zip(leaves, leaves[1:]):

@@ -33,7 +33,7 @@ from .errors import (
     entry_error,
     unique_table,
 )
-from .labeling import CELabeling, _Intervals, _Verifier
+from .labeling import CELabeling, _Intervals
 from .poset import Poset, build_poset, load_json_object
 from .relabel import relabel_from_order
 from .shelling import _orderings
@@ -400,13 +400,12 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
                   budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> bool:
     """True iff in every rooted interval the designated first atom lies on a
     maximal chain attaining the dictionary-least label sequence."""
-    ver = _Verifier(lab, poset, budget)
-    trie, path = ver.trie, ver.path
-    for g, x, y in rooted_interval_nodes(poset, trie):
-        best = min(path[d] for d in trie.within(g, y))
-        if not any(path[d] == best for d in trie.within(omega.table[(g, y)], y)):
-            return False
-    return True
+    trie = root_trie(poset, budget)
+    dp, least = _Intervals(lab, poset, trie), {}
+    dp.passes(least=least)
+    at, table = dp.at, omega.table
+    return all(at[table[(g, y)]] in least[(at[g], y)]
+               for g, _, y in rooted_interval_nodes(poset, trie))
 
 
 def compatible_labeling(poset: Poset, omega: FirstAtomSet,
@@ -434,19 +433,16 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     ascending chain is its interval's strictly lex-least chain; a table
     that fails check_rfas raises NotAnRfasError."""
     trie = root_trie(poset, budget)
-    intervals = _Intervals(lab, poset, None if lab.is_root_independent() else trie)
-    table = {}
-    first = intervals.passes(True, False, False, table)[0]
+    dp, atoms = _Intervals(lab, poset, trie), {}
+    first = dp.passes(need_tcl=True, atoms=atoms)[0]
     if "tcl" in first:
-        v, y = intervals.interval(first["tcl"])
+        v, y = dp.interval(first["tcl"])
         raise NotTclError(
-            f"labeling is not a TCL-labeling: ({intervals.root(v)!r}, {intervals.elem[v]!r}, "
-            f"{y!r}) has {len(intervals.chains('tcl', v, y))} topologically ascending chains")
-    if intervals.trie is None:  # the atom of [x, y] serves every root of x
-        elem = poset.elements
-        table = {(g, y): trie.child(g, elem[a]) for (v, y), a in table.items()
-                 for g in trie.nodes_of[elem[v]]}
-    omega = FirstAtomSet(poset, table)
+            f"labeling is not a TCL-labeling: ({dp.root(v)!r}, {dp.elem[v]!r}, "
+            f"{y!r}) has {len(dp.chains('tcl', v, y))} topologically ascending chains")
+    at, elem = dp.at, dp.elem
+    omega = FirstAtomSet(poset, {(g, y): trie.child(g, elem[atoms[(at[g], y)]])
+                                 for g, _, y in rooted_interval_nodes(poset, trie)})
     violations = check_rfas(poset, omega, budget=budget).violations
     if violations:
         raise NotAnRfasError(f"the ascending chains' atoms are not an RFAS: {violations[0]!r}")

@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import and_
 
 from ._record import Record
-from .chains import check_interval, interval_chains, maximal_chains
+from .chains import check_interval, interval_chains, maximal_chains, root_trie
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     NotAShellingError,
 )
-from .labeling import CELabeling, _Verifier
+from .labeling import CELabeling, _Intervals
 from .poset import Poset
 
 
@@ -300,9 +300,9 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
     The root of x is inferred when unique; otherwise it must be supplied.
     """
     check_interval(poset, x, y)
-    # resolving the labeling visits every root, so no budget applies
-    ver = _Verifier(lab, poset, None)
-    trie, asc = ver.trie, ver.asc
+    # a single query, so no budget applies to the trie that gives the root
+    # and the chains
+    trie = root_trie(poset, None)
     if root is None:
         candidates = trie.nodes_of[x]
         if len(candidates) != 1:
@@ -312,13 +312,15 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
         g = candidates[0]
     else:
         g, = trie.resolve(root, (x,))
-    dg = trie.depth[g]
+    dp = _Intervals(lab, poset, trie)
+    dp.passes()
+    at, parent, depth, dg = dp.at, trie.parent, trie.depth, trie.depth[g]
     out = []
     for d in trie.within(g, y):
-        k = d
-        while trie.depth[k] >= dg + 2 and not asc[k]:
-            k = trie.parent[k]
-        if trie.depth[k] < dg + 2:  # a single-cover chain is vacuously all-descent
+        k = d  # climb while the cover pair ending at k descends
+        while depth[k] >= dg + 2 and not dp.ascends(at[parent[parent[k]]], at[parent[k]], at[k]):
+            k = parent[k]
+        if depth[k] < dg + 2:  # a single-cover chain is vacuously all-descent
             out.append(trie.chain(d)[dg:])
     return out
 

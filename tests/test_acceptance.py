@@ -61,7 +61,7 @@ def _criterion(number, description, checks):
 
 def _dual_edge_labeling(poset, lab):
     return CELabeling.from_edges(
-        dual(poset), {(b, a): lab.label((), a, b) for (a, b) in poset.covers}
+        dual(poset), {(b, a): lab.label(roots(poset, a)[0], a, b) for (a, b) in poset.covers}
     )
 
 
@@ -313,9 +313,9 @@ def test_criterion_11_ordinal_sum():
     bold, parens = ex.labeling("bold"), ex.labeling("parens")
     table = {}
     for a, b in p.covers:
-        table[(a, b)] = bold.label((), a, b)
+        table[(a, b)] = bold.label(roots(p, a)[0], a, b)
     for a, b in d.covers:  # renamed with a '*' suffix inside the sum
-        table[(a + "*", b + "*")] = parens.label((), b, a)
+        table[(a + "*", b + "*")] = parens.label(roots(p, b)[0], b, a)
     table[(p.top, d.bottom + "*")] = 1
     lab = CELabeling.from_edges(s, table)
     checks = [("sum-length-9", s.length() == 9), ("sum-graded", is_graded(s))]

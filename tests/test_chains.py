@@ -58,6 +58,8 @@ def test_invalid_root(fig1):
     p = fig1.poset
     with pytest.raises(InvalidRootError):
         maximal_chains_rooted(p, ("0hat", "b"), "a", "1hat")
+    with pytest.raises(InvalidRootError):  # not a sequence at all
+        maximal_chains_rooted(p, 5, "a", "1hat")
 
 
 def test_nongraded_interval_mixed_lengths(fig3):

@@ -20,6 +20,7 @@ from shellab import (
     maximal_chains,
     order_complex,
     rao_pair_obstructions,
+    roots,
 )
 
 
@@ -52,7 +53,7 @@ def test_fig1_shape(fig1):
 
 def _dual_labeling(poset, lab):
     return CELabeling.from_edges(
-        dual(poset), {(b, a): lab.label((), a, b) for (a, b) in poset.covers}
+        dual(poset), {(b, a): lab.label(roots(poset, a)[0], a, b) for (a, b) in poset.covers}
     )
 
 

@@ -6,6 +6,7 @@ from shellab import (
     AmbiguousOrderError,
     CELabeling,
     InvalidInputError,
+    InvalidRootError,
     MissingLabelError,
     build_poset,
     classify,
@@ -17,6 +18,7 @@ from shellab import (
     lex_compare,
     lex_order_max_chains,
 )
+from shellab.chains import root_trie
 
 
 def test_label_sequences_fig1(fig1):
@@ -30,6 +32,27 @@ def test_label_sequence_accumulates_root(fig1):
     # the top cover of the same coatom is labeled differently per root
     assert label_sequence(middle, ("0hat",), ("0hat", "a", "c", "1hat")) == (1, 2, 3)
     assert label_sequence(middle, ("0hat",), ("0hat", "b", "c", "1hat")) == (3, 2, 1)
+
+
+@pytest.mark.parametrize("mode", ["edge", "chain-edge"])
+@pytest.mark.parametrize("root", [("bogus",), ("0hat", "b"), ()])
+def test_a_root_that_is_not_one_raises_in_both_modes(fig1, mode, root):
+    p, lab = fig1.poset, fig1.labeling("right")
+    if mode == "chain-edge":  # the same labels, keyed by root
+        lab = CELabeling._from_nodes(p, lab._by_node(root_trie(p, None)))
+    with pytest.raises(InvalidRootError, match="is not a root of '0hat'"):
+        is_topological_ascent(lab, root, "0hat", "a", "c")
+    with pytest.raises(InvalidRootError, match="is not a root of '0hat'"):
+        label_sequence(lab, root, ("0hat", "a", "c"))
+    with pytest.raises(InvalidRootError, match="is not a root of '0hat'"):
+        lab.label(root, "0hat", "a")
+    # a root of the lower element, but not of the lower element of the cover
+    with pytest.raises(InvalidRootError, match="is not a root of 'a'"):
+        lab.label(("0hat",), "a", "c")
+    with pytest.raises(InvalidRootError, match="5 is not a root of '0hat'"):
+        lab.label(5, "0hat", "a")
+    assert label_sequence(lab, ("0hat",), ("0hat", "a", "c")) == (1, 2)
+    assert is_topological_ascent(lab, ("0hat",), "0hat", "a", "c")
 
 
 def test_bold_far_left_sequence(fig2):

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shellab import (
     BudgetExceededError,
     CELabeling,
+    LabelingReport,
     build_poset,
     classify,
     corpus,
@@ -180,6 +181,15 @@ def test_root_dependence_alone_fails_el_and_ec(monkeypatch):
         assert classify(lab, p, kinds=kinds).witnesses == {
             kind: {"root_independent": False} for kind in kinds}
         _assert_matches_literal(lab, p, kinds)
+
+
+def test_no_kinds_decide_no_interval(monkeypatch):
+    # with no kind pending the passes would visit every y, so classify
+    # must not start them
+    p, lab = shuffled_boolean_lattice(4, 1)
+    monkeypatch.setattr(labeling, "_Intervals", None)
+    rep = classify(lab, p, kinds=())
+    assert rep == LabelingReport() and rep.rooted_intervals == 0
 
 
 def test_edge_labeling_decides_one_root_per_element():

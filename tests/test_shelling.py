@@ -181,7 +181,7 @@ def test_descending_chains_excludes_increasing(fig1):
     expected = [
         c for c in maximal_chains(p)
         if all(
-            left.label((), c[i], c[i + 1]) >= left.label((), c[i + 1], c[i + 2])
+            left.label(c[:i + 1], c[i], c[i + 1]) >= left.label(c[:i + 2], c[i + 1], c[i + 2])
             for i in range(len(c) - 2)
         )
     ]
