@@ -188,6 +188,7 @@ def roots(poset: Poset, x) -> tuple:
     The roots are read from the poset's RootTrie, which is built without a
     budget; callers that must bound the work check ensure_budget first.
     """
+    check_interval(poset, poset.bottom, x)
     trie = root_trie(poset, None)
     return tuple(trie.chain(v) for v in trie.nodes_of[x])
 

@@ -196,73 +196,50 @@ class LabelingReport(Record):
         return getattr(self, "is_" + kind.replace("-", "_"))
 
 
+# The checks that fail each kind, in the order that picks its witness:
+# "root" is root dependence, "sc" self-consistency.  EL and EC are CL and CC
+# with root-independent labels, and CC is TCL with prefix-free sequences.
+_FAILED_BY = {"tcl": ("tcl",), "cc": ("cc", "tcl"), "ec": ("root", "cc", "tcl"),
+              "cl": ("cl",), "el": ("root", "cl"), "self-consistent": ("tcl", "sc")}
+
+
 def classify(lab: CELabeling, poset: Poset, kinds=None,
              budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> LabelingReport:
     """Evaluate the requested labeling kinds on every rooted interval.
 
     kinds is an iterable drawn from {"el", "cl", "ec", "cc", "tcl",
-    "self-consistent"}; by default all six are checked.  EL and EC
-    additionally require the labeling to be root-independent.
+    "self-consistent"}; by default all six are checked.  A kind holds iff
+    no check of its _FAILED_BY row fails; its witness is the first failed
+    check's, but {"not_tcl": True} for self-consistency failed on "tcl".
 
     _Intervals decides the rooted intervals by DP over covers: once per
     interval [x, y] for a root-independent labeling, which gives every
     rooted interval [x, y]_r the verdicts of [x, y], and once per RootTrie
-    node of x otherwise.  Either way the budget is checked first, and each
-    witness is the first failure in canonical order.  EL and EC fail on
-    root dependence alone, so when they are all that is asked a
-    root-dependent labeling decides no interval.
+    node of x otherwise.  Either way the budget is checked first, each
+    witness is the first failure in canonical order, and every check of
+    every requested kind runs, unless only EL and EC are asked of a
+    root-dependent labeling: then root dependence fails them alone.
     """
-    if kinds is None:
-        kinds = KINDS
-    kinds = set(kinds)
-    unknown = kinds - set(KINDS)
-    if unknown:
-        raise ValueError(f"unknown labeling kinds: {sorted(unknown)}")
+    kinds = set(KINDS if kinds is None else kinds)
+    if not kinds <= set(KINDS):
+        raise ValueError(f"unknown labeling kinds: {sorted(kinds - set(KINDS))}")
     if budget is not None:
         ensure_budget(poset, budget)
 
     report = LabelingReport()
-    need_tcl = bool(kinds & {"tcl", "cc", "ec", "self-consistent"})
-    need_cc = bool(kinds & {"cc", "ec"})
-    need_cl = bool(kinds & {"cl", "el"})
-    need_sc = "self-consistent" in kinds
+    checks = {c for kind in kinds for c in _FAILED_BY[kind]}
     if kinds - {"el", "ec"} or (kinds and lab.is_root_independent()):
-        intervals = _Intervals(lab, poset)
-        root_indep = intervals.trie is None
-        tcl_ok, cc_ok, cl_ok, inconsistent = intervals.classify(
-            report, need_tcl, need_cc, need_cl, need_sc)
+        failures = _Intervals(lab, poset).failures(checks, report)
     else:
-        root_indep = tcl_ok = cc_ok = cl_ok = False
-        inconsistent = None
-
-    if "tcl" in kinds:
-        report.is_tcl = tcl_ok
-    if "cc" in kinds:
-        report.is_cc = tcl_ok and cc_ok
-        if not tcl_ok:
-            report.witnesses.setdefault("cc", report.witnesses.get("tcl", {}))
-    if "ec" in kinds:
-        report.is_ec = tcl_ok and cc_ok and root_indep
-        if not root_indep:
-            report.witnesses.setdefault("ec", {"root_independent": False})
-        elif not (tcl_ok and cc_ok):
-            report.witnesses.setdefault(
-                "ec", report.witnesses.get("cc", report.witnesses.get("tcl", {})))
-    if "cl" in kinds:
-        report.is_cl = cl_ok
-    if "el" in kinds:
-        report.is_el = cl_ok and root_indep
-        if not root_indep:
-            report.witnesses.setdefault("el", {"root_independent": False})
-        elif not cl_ok:
-            report.witnesses.setdefault("el", report.witnesses.get("cl", {}))
-
-    if need_sc:
-        witness = inconsistent if tcl_ok else {"not_tcl": True}
-        report.is_self_consistent = witness is None
-        if witness is not None:
-            report.witnesses.setdefault("self-consistent", witness)
-
+        failures = {"root": {"root_independent": False}}
+    # the table's order, not the set's, so the witnesses come in one order
+    for kind, row in _FAILED_BY.items():
+        if kind in kinds:
+            check = next((c for c in row if c in failures), None)
+            setattr(report, "is_" + kind.replace("-", "_"), check is None)
+            if check is not None:
+                report.witnesses[kind] = ({"not_tcl": True} if (kind, check) == (
+                    "self-consistent", "tcl") else failures[check])
     return report
 
 
@@ -347,25 +324,28 @@ class _Intervals:
         # ties stay in canonical order
         self.order = sorted(poset.elements, key=lambda e: -len(poset.upset(e)))
 
-    def classify(self, report, need_tcl, need_cc, need_cl, need_sc):
-        """(tcl_ok, cc_ok, cl_ok, self-consistency witness or None), as
-        deciding every rooted interval in canonical order gives them."""
+    def failures(self, checks, report) -> dict:
+        """Check -> witness of each failed check among checks ("tcl", "cc",
+        "cl", "sc"; "root" fails on a root-dependent labeling), as deciding
+        every rooted interval in canonical order finds them.  The tcl, cc
+        and cl witnesses and the rooted-interval count go into report too;
+        "sc" is checked only when "tcl" passes."""
         poset, elem, upset = self.poset, self.elem, self.poset._upset
-        first, cand, late = self.passes(need_tcl, need_cl, need_sc)
-        if need_cc:
-            failure = self.cc_failure()
-            if failure is not None:
-                first["cc"] = failure
-        for kind, field in (("tcl", "ascending_chains"), ("cc", "label_sequences"),
-                            ("cl", "increasing_chains")):
-            if kind in first:
-                v, y = self.interval(first[kind])
-                report.witnesses[kind] = {"root": self.root(v), "x": elem[v], "y": y,
-                                          field: self.chains(kind, v, y)}
+        first, cand, late = self.passes(checks)
+        failure = self.cc_failure() if "cc" in checks else None
+        if failure is not None:
+            first["cc"] = failure
+        failed = {} if self.trie is None else {"root": {"root_independent": False}}
+        for check, field in (("tcl", "ascending_chains"), ("cc", "label_sequences"),
+                             ("cl", "increasing_chains")):
+            if check in first:
+                v, y = self.interval(first[check])
+                failed[check] = report.witnesses[check] = {
+                    "root": self.root(v), "x": elem[v], "y": y, field: self.chains(check, v, y)}
         # the rooted-interval count of deciding them in canonical order: the
         # intervals up to the last first failure, or all of them
-        needed = [k for k, need in (("tcl", need_tcl), ("cc", need_cc), ("cl", need_cl)) if need]
-        if any(k not in first for k in needed):
+        needed = [c for c in ("tcl", "cc", "cl") if c in checks]
+        if any(c not in first for c in needed):
             report.rooted_intervals = sum(len(self.nodes_of[e]) * (len(upset[e]) - 1)
                                           for e in poset.elements)
         else:
@@ -373,21 +353,24 @@ class _Intervals:
                 x = elem[self.ranked[r]]
                 return sum(len(upset[elem[v]]) - 1 for v in self.ranked[:r]) + sum(
                     1 for e in upset[x] if e != x and poset.index[e] <= yi)
-            report.rooted_intervals = max((place(*first[k]) for k in needed), default=0)
-        inconsistent = self.inconsistency(cand, late) if need_sc and "tcl" not in first else None
-        return "tcl" not in first, "cc" not in first, "cl" not in first, inconsistent
+            report.rooted_intervals = max((place(*first[c]) for c in needed), default=0)
+        witness = self.inconsistency(cand, late) if "sc" in checks and "tcl" not in first else None
+        if witness is not None:
+            failed["sc"] = witness
+        return failed
 
-    def passes(self, need_tcl=False, need_cl=False, need_sc=False, atoms=None, least=None):
+    def passes(self, checks=(), atoms=None, least=None):
         """The first failing (rank of v, index of y) of "tcl" and "cl" as
-        far as needed, and for self-consistency, per node v and atom pair
+        far as checks asks, and for "sc", per node v and atom pair
         (a, b): cand, the first y where a heads the least chains of [v, y]
         and b is an atom too, and late, the first y' where a chain through a
         does not precede every chain through b.  A dict atoms gets, per
         [v, y] with one ascending chain, (v, y) -> the atom it starts with,
         and a dict least, per [v, y], (v, y) -> the atoms that head its
-        least chains.  With neither "tcl" nor "cl" needed, every y is
+        least chains.  With neither "tcl" nor "cl" checked, every y is
         passed, so asc holds the ascent atom of every interval.
         """
+        tcl, cl, sc = ("tcl" in checks), ("cl" in checks), ("sc" in checks)
         poset, elem, nodes_of, up, asc = self.poset, self.elem, self.nodes_of, self.up, self.asc
         rank, order, index, upset = self.rank, self.order, poset.index, poset._upset
         n = len(rank)
@@ -399,13 +382,13 @@ class _Intervals:
         settle = [(n, n)] * (len(order) + 1)
         for t in range(len(order) - 1, -1, -1):
             settle[t] = min(settle[t + 1], (low[order[t]], index[order[t]]))
-        pending = [k for k, need in (("tcl", need_tcl), ("cl", need_cl)) if need]
+        pending = [k for k in ("tcl", "cl") if k in checks]
         first = {}
-        cand = [{} for _ in rank] if need_sc else None
-        late = [{} for _ in rank] if need_sc else None
+        cand = [{} for _ in rank] if sc else None
+        late = [{} for _ in rank] if sc else None
 
         floor = float("-inf")
-        keep = need_sc or least is not None
+        keep = sc or least is not None
         for t, y in enumerate(order):
             if pending and all(k in first and first[k] < settle[t] for k in pending):
                 break
@@ -434,11 +417,11 @@ class _Intervals:
                             ties = True
                     if keep:
                         keys.append((w, lbl, key))
-                    if need_sc:
+                    if sc:
                         high = (lbl, hi[w])
                         if top is None or _lex_cmp(high, top) > 0:
                             top = high
-                    if need_cl:  # b1, b2 become top1[v], top2[v]
+                    if cl:  # b1, b2 become top1[v], top2[v]
                         c = (top1[w] > lbl) + (top2[w] > lbl) if rest else 1
                         if c:
                             n_inc += c
@@ -449,12 +432,12 @@ class _Intervals:
                 lo[v] = best
                 if not ties and best[1] and not best[1][1]:  # y covers w0
                     asc[v][y] = w0
-                if need_cl:
+                if cl:
                     top1[v], top2[v] = b1, b2
                     rising[v] = not best[1] or (rising[w0] and best[0] < best[1][0])
                     if (n_inc != 1 or not rising[v]) and rank[v] < bad_cl:
                         bad_cl = rank[v]
-                if need_tcl:  # row becomes tops[v], without the covers of count 0
+                if tcl:  # row becomes tops[v], without the covers of count 0
                     av, row, n_asc = asc[v], [], 0
                     for w in covs:
                         c = 1
@@ -479,7 +462,7 @@ class _Intervals:
                     heads = [w for w, _, key in keys if _lex_cmp(key, best) == 0] if ties else [w0]
                     if least is not None:
                         least[(v, y)] = heads
-                if need_sc:
+                if sc:
                     hi[v] = top
                     if len(keys) > 1:
                         cv, lv = cand[v], late[v]

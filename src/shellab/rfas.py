@@ -122,11 +122,9 @@ def pseudo_descents(omega: FirstAtomSet, chain, root=None):
     """Positions x < y < z in the chain where y is not the designated first
     atom of [x, z] under the chain's own root.  Returns (x, y, z) triples."""
     chain = tuple(chain)
-    if root is None:
-        if chain[0] != omega.poset.bottom:
-            raise ValueError("chain does not start at bottom; pass its root")
-        root = (chain[0],)
-    nodes = omega.trie.resolve(root, chain)
+    if not chain or root is None and chain[0] != omega.poset.bottom:
+        raise ValueError("chain does not start at bottom; pass its root")
+    nodes = omega.trie.resolve((chain[0],) if root is None else root, chain)
     return [(chain[i], chain[i + 1], chain[i + 2]) for i in range(len(chain) - 2)
             if omega.table[(nodes[i], chain[i + 2])] != nodes[i + 1]]
 
@@ -434,7 +432,7 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     that fails check_rfas raises NotAnRfasError."""
     trie = root_trie(poset, budget)
     dp, atoms = _Intervals(lab, poset, trie), {}
-    first = dp.passes(need_tcl=True, atoms=atoms)[0]
+    first = dp.passes({"tcl"}, atoms=atoms)[0]
     if "tcl" in first:
         v, y = dp.interval(first["tcl"])
         raise NotTclError(
@@ -452,6 +450,7 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
 def restrict_first_atom_set(poset: Poset, omega: FirstAtomSet, root, x, y):
     """The closed interval [x, y] as a standalone poset, with the first atom
     table restricted to it (sub-roots are grafted onto the given root)."""
+    check_interval(poset, x, y)
     members = poset.interval(x, y)
     member_set = set(members)
     covers = [(a, b) for a, b in poset.covers if a in member_set and b in member_set]

@@ -108,6 +108,7 @@ def order_complex(poset: Poset, interval=None) -> OrderComplex:
         vertices = tuple(poset.elements)
         return OrderComplex(vertices, tuple(facets))
     x, y = interval
+    check_interval(poset, x, y)
     inner = [e for e in poset.interval(x, y) if e not in (x, y)]
     if not inner:
         raise EmptyIntervalError(f"open interval ({x!r}, {y!r}) is empty")

@@ -2,6 +2,7 @@ import pytest
 
 from shellab import (
     BudgetExceededError,
+    InvalidIntervalError,
     InvalidRootError,
     build_poset,
     interval_chains,
@@ -60,6 +61,11 @@ def test_invalid_root(fig1):
         maximal_chains_rooted(p, ("0hat", "b"), "a", "1hat")
     with pytest.raises(InvalidRootError):  # not a sequence at all
         maximal_chains_rooted(p, 5, "a", "1hat")
+
+
+def test_roots_of_a_non_element(fig1):
+    with pytest.raises(InvalidIntervalError, match="'zz' is not an element"):
+        roots(fig1.poset, "zz")
 
 
 def test_nongraded_interval_mixed_lengths(fig3):

@@ -205,9 +205,12 @@ def test_shelling_kernel_matches_literal_oracles(p, shuffle_seed):
 
 
 @SETTINGS
-@given(posets, st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
-def test_classify_matches_literal_oracle(p, label_seed, spread, rooted):
-    # labels from 1..spread tie often, so every kind fails on some examples
+@given(posets, st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans(),
+       st.sets(st.sampled_from(KINDS), min_size=1))
+def test_classify_matches_literal_oracle(p, label_seed, spread, rooted, mixed):
+    # labels from 1..spread tie often, so every kind fails on some examples;
+    # a mixed set still runs every check of each kind in it, also of a kind
+    # that root dependence fails alone
     rng = random.Random(label_seed)
     if rooted:
         lab = CELabeling.from_chain_table(
@@ -215,7 +218,7 @@ def test_classify_matches_literal_oracle(p, label_seed, spread, rooted):
     else:
         lab = CELabeling.from_edges(p, {c: rng.randint(1, spread) for c in p.covers})
     # equality ignores the work counter, so it is compared on its own
-    for kinds in [{kind} for kind in KINDS] + [KINDS]:
+    for kinds in [{kind} for kind in KINDS] + [KINDS, mixed]:
         rep, literal = classify(lab, p, kinds=kinds), _classify_literal(lab, p, kinds)
         assert rep == literal
         assert rep.rooted_intervals == literal.rooted_intervals

@@ -10,6 +10,7 @@ from shellab import (
     ChainOrderDag,
     FirstAtomSet,
     InvalidInputError,
+    InvalidIntervalError,
     InvalidPosetError,
     MissingFirstAtomError,
     NoLcExtensionError,
@@ -91,6 +92,13 @@ def test_pseudo_descent_single_chain(chain3):
     assert pseudo_descents(omega, ("0hat", "m1", "m2", "1hat")) == []
 
 
+@pytest.mark.parametrize("root", [None, ("0hat",)])
+def test_pseudo_descents_of_the_empty_chain(fig8, root):
+    # the error of a chain that does not start at bottom, not an IndexError
+    with pytest.raises(ValueError, match="does not start at bottom"):
+        pseudo_descents(fig8.first_atom_set("omega"), (), root=root)
+
+
 # -- validation -----------------------------------------------------------
 
 def test_fig5p_collection_c_fails_backward(fig5p):
@@ -169,6 +177,16 @@ def test_restriction_is_still_valid(fig8):
                       (("0hat", "c"), "c", "1hat")]:
         sub, sub_omega = restrict_first_atom_set(p, omega, r, x, y)
         assert check_rfas(sub, sub_omega).ok
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ("1hat", "0hat", "'1hat' is not below '0hat'"),
+    ("0hat", "zz", "'zz' is not an element"),
+])
+def test_restriction_needs_an_interval(fig8, x, y, message):
+    # not a bounded-poset error about the empty member set
+    with pytest.raises(InvalidIntervalError, match=message):
+        restrict_first_atom_set(fig8.poset, fig8.first_atom_set("omega"), ("0hat",), x, y)
 
 
 # -- chain order ----------------------------------------------------------

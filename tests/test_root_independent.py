@@ -183,6 +183,24 @@ def test_root_dependence_alone_fails_el_and_ec(monkeypatch):
         _assert_matches_literal(lab, p, kinds)
 
 
+def test_root_dependence_does_not_skip_the_other_checks():
+    # 0 < a, b < c < 1 with the two roots of c labeling (c, 1) apart; [0, c]
+    # has two chains labeled (1, 1), so CL, CC and TCL fail there as well
+    p = build_poset(["0", "a", "b", "c", "1"],
+                    [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")])
+    lab = CELabeling.from_chain_table(p, {
+        (("0",), "0", "a"): 1, (("0",), "0", "b"): 1, (("0", "a"), "a", "c"): 1,
+        (("0", "b"), "b", "c"): 1, (("0", "a", "c"), "c", "1"): 1,
+        (("0", "b", "c"), "c", "1"): 2})
+    assert not lab.is_root_independent()
+    # once an interval is decided, EL and EC still run CL and CC, so
+    # their witnesses and the work counter show up next to TCL's
+    for kinds, checked in (({"el", "tcl"}, "cl"), ({"ec", "tcl"}, "cc")):
+        rep = classify(lab, p, kinds=kinds)
+        assert checked in rep.witnesses
+        _assert_matches_literal(lab, p, kinds)
+
+
 def test_no_kinds_decide_no_interval(monkeypatch):
     # with no kind pending the passes would visit every y, so classify
     # must not start them

@@ -7,6 +7,7 @@ from shellab import (
     BudgetExceededError,
     EmptyIntervalError,
     EulerMismatchError,
+    InvalidIntervalError,
     NotAShellingError,
     OrderComplex,
     brute_force_shellable,
@@ -52,6 +53,16 @@ def test_empty_open_interval():
     p = build_poset(["0hat", "1hat"], [("0hat", "1hat")])
     with pytest.raises(EmptyIntervalError):
         order_complex(p, interval=("0hat", "1hat"))
+
+
+@pytest.mark.parametrize("interval, message", [
+    (("qq", "zz"), "'qq' is not an element"),
+    (("1hat", "0hat"), "'1hat' is not below '0hat'"),
+])
+def test_order_complex_needs_an_interval(fig8, interval, message):
+    # neither a bare KeyError nor an "empty open interval"
+    with pytest.raises(InvalidIntervalError, match=message):
+        order_complex(fig8.poset, interval=interval)
 
 
 def test_fig5q_full_complex(fig5q):
