@@ -42,6 +42,14 @@ def entry_error(what, entries, keys, exc) -> InvalidInputError:
     return InvalidInputError(f"unusable {what} entry: {exc}")
 
 
+def entry_root(what, e) -> tuple:
+    """The "root" of an input-file entry as a tuple; one that is not a list,
+    such as a string, raises InvalidInputError naming the entry."""
+    if not isinstance(e["root"], (list, tuple)):
+        raise InvalidInputError(f'{what} entry {e!r} has a "root" that is not a list')
+    return tuple(e["root"])
+
+
 def unique_table(what, pairs) -> dict:
     """The dict of (key, value) pairs read from input-file entries; a key
     given two different values raises InvalidInputError naming it."""

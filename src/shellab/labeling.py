@@ -23,6 +23,7 @@ from .errors import (
     InvalidRootError,
     MissingLabelError,
     entry_error,
+    entry_root,
     unique_table,
 )
 from .poset import Poset, load_json_object
@@ -106,13 +107,19 @@ class CELabeling:
 
     def is_root_independent(self) -> bool:
         """True iff the label of every cover is constant over its roots."""
+        return self._cover_labels() is not None
+
+    def _cover_labels(self):
+        """Cover pair -> its label when every cover's label is constant over
+        its roots, else None."""
         if self._edges is not None:
-            return True
+            return self._edges
         trie = root_trie(self.poset, None)
-        elem, parent = trie.elem, trie.parent
-        seen = {}
-        return all(seen.setdefault((elem[parent[v]], elem[v]), lbl) == lbl
-                   for v, lbl in enumerate(self._lab_in) if v)
+        elem, parent, labels = trie.elem, trie.parent, {}
+        for v, lbl in enumerate(self._lab_in):
+            if v and labels.setdefault((elem[parent[v]], elem[v]), lbl) != lbl:
+                return None
+        return labels
 
     def relabeled(self, mapping) -> "CELabeling":
         """Apply an integer-to-integer map to every label."""
@@ -277,28 +284,25 @@ class _Intervals:
     - lo[v] (hi[v]): the dictionary-least (-greatest) label sequence from v
       to y as nested pairs (label, rest) ending in (), which compare like
       the flat sequences and share their tails;
-    - top1[v] >= top2[v]: the two largest first labels, with multiplicity,
-      of the strictly increasing chains from v to y, which tell how many of
-      them start above a given label, up to 2;
-    - tops[v]: per cover v < w <= y, how many topologically ascending
-      chains from v to y start with it, up to 2.
+    - per CL or TCL, a row: (w, λ(v, w), the number of chains from v to y
+      that start with w and rise at every cover pair, up to 2) per cover
+      v < w <= y with such a chain.
 
-    u < v < w is a topological ascent iff (λ(u, v), λ(v, w)) precedes the
-    sequence of every other chain of [u, w], that is iff v is the one atom
-    of [u, w] where (λ(u, ·), lo(·, w)) is least; asc[u][w] is that atom
-    when w covers it.  The first failure of a kind is the least (rank of v,
-    index of y); the passes stop once no later y can precede it.
+    CL and TCL ask each rooted interval for exactly one such chain (CL
+    also for the least chain to rise) and differ only in what rises:
+    v < w < z rises for CL iff λ(v, w) < λ(w, z), and for TCL iff it is a
+    topological ascent: iff w is the one atom of [v, z] where
+    (λ(v, ·), lo(·, z)) is least, so that (λ(v, w), λ(w, z)) precedes
+    every other chain's sequence; asc[v][z] is that atom when z covers it.
+    The first failure of a kind is the least (rank of v, index of y); the
+    passes stop counting a kind once no later y can precede it.
     """
 
     def __init__(self, lab: CELabeling, poset: Poset, trie=None):
         self.poset = poset
-        if lab.is_root_independent():
+        edges = lab._cover_labels()
+        if edges is not None:
             self.trie = None
-            edges = lab._edges
-            if edges is None:  # one label per cover pair, read off the trie
-                t = root_trie(poset, None)
-                edges = {(t.elem[t.parent[v]], t.elem[v]): lbl
-                         for v, lbl in enumerate(lab._lab_in) if v}
             missing = [c for c in poset.covers if edges.get(c) is None]
             if missing:
                 raise MissingLabelError(f"no label for covers {missing}")
@@ -370,7 +374,7 @@ class _Intervals:
         least chains.  With neither "tcl" nor "cl" checked, every y is
         passed, so asc holds the ascent atom of every interval.
         """
-        tcl, cl, sc = ("tcl" in checks), ("cl" in checks), ("sc" in checks)
+        sc = "sc" in checks
         poset, elem, nodes_of, up, asc = self.poset, self.elem, self.nodes_of, self.up, self.asc
         rank, order, index, upset = self.rank, self.order, poset.index, poset._upset
         n = len(rank)
@@ -387,26 +391,26 @@ class _Intervals:
         cand = [{} for _ in rank] if sc else None
         late = [{} for _ in rank] if sc else None
 
-        floor = float("-inf")
         keep = sc or least is not None
         for t, y in enumerate(order):
-            if pending and all(k in first and first[k] < settle[t] for k in pending):
+            live = [k for k in pending if k not in first or first[k] >= settle[t]]
+            if pending and not live:
                 break
             yi = index[y]
             lo = dict.fromkeys(nodes_of[y], ())
-            hi, rising, top1, top2, tops = dict(lo), {}, {}, {}, {}
-            bad_tcl = bad_cl = n
+            hi, rising = dict(lo), {}
+            # per live kind: whether its rule is CL's, and node -> row
+            rows, bad = [(k, k == "cl", {}) for k in live], dict.fromkeys(live, n)
             # the nodes of one element are incomparable, so this walks the
             # nodes below y from the top
             for v in (v for e in reversed(order[:t]) if y in upset[e] for v in nodes_of[e]):
                 best, top, ties, covs, keys = None, None, False, [], []
-                n_inc, b1, b2 = 0, floor, floor
                 for w, lbl in up[v]:
                     rest = lo.get(w)
                     if rest is None:
                         continue
                     key = (lbl, rest)
-                    covs.append(w)
+                    covs.append((w, lbl))
                     if best is None:
                         w0, best = w, key
                     else:
@@ -421,43 +425,32 @@ class _Intervals:
                         high = (lbl, hi[w])
                         if top is None or _lex_cmp(high, top) > 0:
                             top = high
-                    if cl:  # b1, b2 become top1[v], top2[v]
-                        c = (top1[w] > lbl) + (top2[w] > lbl) if rest else 1
-                        if c:
-                            n_inc += c
-                            if lbl >= b1:
-                                b1, b2 = lbl, (lbl if c > 1 else b1)
-                            elif lbl > b2:
-                                b2 = lbl
                 lo[v] = best
                 if not ties and best[1] and not best[1][1]:  # y covers w0
                     asc[v][y] = w0
-                if cl:
-                    top1[v], top2[v] = b1, b2
-                    rising[v] = not best[1] or (rising[w0] and best[0] < best[1][0])
-                    if (n_inc != 1 or not rising[v]) and rank[v] < bad_cl:
-                        bad_cl = rank[v]
-                if tcl:  # row becomes tops[v], without the covers of count 0
-                    av, row, n_asc = asc[v], [], 0
-                    for w in covs:
+                av = asc[v]
+                for k, cl, below in rows:  # the row of v, without the covers of count 0
+                    row, count = [], 0
+                    for w, lbl in covs:
                         c = 1
-                        if w in tops:  # w is below y
+                        if w in below:  # w is below y
                             c = 0
-                            for z, cz in tops[w]:
-                                if av.get(elem[z]) == w:
+                            for z, lz, cz in below[w]:
+                                if (lbl < lz) if cl else (av.get(elem[z]) == w):
                                     c += cz
                             if not c:
                                 continue
                             if c > 2:
                                 c = 2
-                        row.append((w, c))
-                        n_asc += c
-                    tops[v] = row
-                    if n_asc == 1:
-                        if atoms is not None:
-                            atoms[(v, y)] = row[0][0]
-                    elif rank[v] < bad_tcl:
-                        bad_tcl = rank[v]
+                        row.append((w, lbl, c))
+                        count += c
+                    below[v] = row
+                    if cl:  # CL also asks the least chain to rise
+                        rising[v] = not best[1] or (rising[w0] and best[0] < best[1][0])
+                    elif count == 1 and atoms is not None:
+                        atoms[(v, y)] = row[0][0]
+                    if (count != 1 or cl and not rising[v]) and rank[v] < bad[k]:
+                        bad[k] = rank[v]
                 if keep:
                     heads = [w for w, _, key in keys if _lex_cmp(key, best) == 0] if ties else [w0]
                     if least is not None:
@@ -477,9 +470,9 @@ class _Intervals:
                                 if (la > lb or la == lb and _lex_cmp(hi_a, lo_b) >= 0) \
                                         and lv.get(pair, n) > yi:
                                     lv[pair] = yi
-            for kind, bad in (("tcl", bad_tcl), ("cl", bad_cl)):
-                if bad < n and (bad, yi) < first.get(kind, (n, n)):
-                    first[kind] = (bad, yi)
+            for k, r in bad.items():
+                if r < n and (r, yi) < first.get(k, (n, n)):
+                    first[k] = (r, yi)
         return first, cand, late
 
     def cc_failure(self):
@@ -565,22 +558,24 @@ class _Intervals:
         return tuple(root)
 
     def chains(self, kind, v, y) -> tuple:
-        """The chains of [v, y] that the witness of kind lists."""
+        """The chains of [v, y] that the witness of kind lists, in
+        lexicographic order: for "cl" and "tcl" those whose every cover pair
+        rises under the kind's rule, for "descending" those with no ascent;
+        for "cc" all of them with their label sequences, by sequence."""
         elem, up, upset = self.elem, self.up, self.poset._upset
         found, stack = [], [((v,), ())]
         while stack:  # preorder, so the chains come in lexicographic order
             nodes, seq = stack.pop()
+            if kind != "cc" and len(seq) > 1:  # drop a chain at its first wrong pair
+                rises = seq[-2] < seq[-1] if kind == "cl" else self.ascends(*nodes[-3:])
+                if rises == (kind == "descending"):
+                    continue
             if elem[nodes[-1]] == y:
-                found.append((seq, tuple(map(elem.__getitem__, nodes)), nodes))
+                found.append((seq, tuple(map(elem.__getitem__, nodes))))
                 continue
             stack.extend((nodes + (w,), seq + (lbl,))
                          for w, lbl in reversed(up[nodes[-1]]) if y in upset[elem[w]])
-        if kind == "cc":
-            return tuple(sorted((s, c) for s, c, _ in found))
-        if kind == "cl":
-            return tuple(c for s, c, _ in found if all(a < b for a, b in zip(s, s[1:])))
-        return tuple(c for _, c, nodes in found if all(
-            map(self.ascends, nodes, nodes[1:], nodes[2:])))
+        return tuple(sorted(found)) if kind == "cc" else tuple(c for _, c in found)
 
 
 def descent_set(lab: CELabeling, poset: Poset,
@@ -650,7 +645,7 @@ def labeling_from_json(poset: Poset, data: dict,
             table = unique_table("labeling", (((e["from"], e["to"]), e["label"]) for e in labels))
         else:
             table = unique_table("labeling", (
-                ((tuple(e["root"]), e["from"], e["to"]), e["label"]) for e in labels))
+                ((entry_root("labeling", e), e["from"], e["to"]), e["label"]) for e in labels))
     except (KeyError, TypeError) as exc:
         keys = ("root",) * (mode == "chain-edge") + ("from", "to", "label")
         raise entry_error("labeling", labels, keys, exc) from None

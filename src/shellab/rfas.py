@@ -31,6 +31,7 @@ from .errors import (
     NotAnRfasError,
     NotTclError,
     entry_error,
+    entry_root,
     unique_table,
 )
 from .labeling import CELabeling, _Intervals
@@ -68,7 +69,9 @@ class FirstAtomSet:
         explicit = {}
         for (r, x, y), atom in dict(entries).items():
             if r is None:
-                gs = trie.nodes_of.get(x, ())
+                if x not in poset.index or not poset.lt(x, y):
+                    raise InvalidIntervalError(f"{x!r} is not strictly below {y!r}")
+                gs = trie.nodes_of[x]
                 if len(gs) != 1:
                     raise MissingFirstAtomError(
                         f"{x!r} has {len(gs)} roots; entry for [{x!r},{y!r}] must name one"
@@ -484,7 +487,8 @@ def first_atom_set_from_json(poset: Poset, data: dict,
         raise InvalidInputError('a first atom set needs an object with a "first_atoms" list')
     try:
         entries = unique_table("first atom", (
-            ((tuple(e["root"]) if e.get("root") is not None else None, e["x"], e["y"]), e["atom"])
+            ((None if e.get("root") is None else entry_root("first atom", e), e["x"], e["y"]),
+             e["atom"])
             for e in listed))
     except (AttributeError, KeyError, TypeError) as exc:
         raise entry_error("first atom", listed, ("x", "y", "atom"), exc) from None

@@ -302,7 +302,6 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
     """
     check_interval(poset, x, y)
     # a single query, so no budget applies to the trie that gives the root
-    # and the chains
     trie = root_trie(poset, None)
     if root is None:
         candidates = trie.nodes_of[x]
@@ -315,15 +314,7 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
         g, = trie.resolve(root, (x,))
     dp = _Intervals(lab, poset, trie)
     dp.passes()
-    at, parent, depth, dg = dp.at, trie.parent, trie.depth, trie.depth[g]
-    out = []
-    for d in trie.within(g, y):
-        k = d  # climb while the cover pair ending at k descends
-        while depth[k] >= dg + 2 and not dp.ascends(at[parent[parent[k]]], at[parent[k]], at[k]):
-            k = parent[k]
-        if depth[k] < dg + 2:  # a single-cover chain is vacuously all-descent
-            out.append(trie.chain(d)[dg:])
-    return out
+    return list(dp.chains("descending", dp.at[g], y))
 
 
 # -- serialization -----------------------------------------------------

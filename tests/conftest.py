@@ -666,6 +666,18 @@ def bounded(masks):
     return build_poset(["0hat", *names, "1hat"], covers)
 
 
+def string_root_case():
+    """0 < a, b < c < 1 with one-character names, and a CL chain-edge
+    labeling file whose roots are strings ("0", "0a", ...): tuple() would
+    split each into the characters of a valid root."""
+    p = build_poset(["0", "a", "b", "c", "1"],
+                    [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")])
+    return p, {"mode": "chain-edge", "labels": [
+        {"root": r, "from": r[-1], "to": v, "label": lbl} for r, v, lbl in (
+            ("0", "a", 1), ("0", "b", 2), ("0a", "c", 2), ("0b", "c", 1),
+            ("0ac", "1", 3), ("0bc", "1", 3))]}
+
+
 def tie_case():
     """A TCL-labeling whose ascending chain of [0hat, 1hat] is not the
     lexicographically first: 0hat < v3 < 1hat and 0hat < v5 < 1hat tie at

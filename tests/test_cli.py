@@ -11,7 +11,7 @@ from shellab import cli
 from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
-from conftest import shuffled_boolean_lattice, tie_case
+from conftest import shuffled_boolean_lattice, string_root_case, tie_case
 
 
 def test_check_cc_ok(capsys):
@@ -212,6 +212,23 @@ def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, messag
     assert run([a.replace("{path}", str(path)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["check", "--kind", "cl"], string_root_case()[1], '"root" that is not a list'),
+    (["rfas-check"], {"first_atoms": [{"root": "0", "x": "0", "y": "c", "atom": "a"}]},
+     '"root" that is not a list'),
+    (["rfas-check"], {"first_atoms": [{"x": "c", "y": "a", "atom": "a"}]},
+     "'c' is not strictly below 'a'"),
+], ids=["chain-edge-string-root", "first-atom-string-root", "first-atom-not-below"])
+def test_misread_entry_is_an_error(tmp_path, capsys, argv, content, message):
+    # string roots were split into characters and read as valid roots, and
+    # a root-less entry with x not below y failed on the roots of x
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(string_root_case()[0])))
+    (tmp_path / "input.json").write_text(json.dumps(content))
+    assert run(argv + [str(tmp_path / "poset.json"), str(tmp_path / "input.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, content", [

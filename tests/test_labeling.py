@@ -252,3 +252,15 @@ def test_single_queries_need_no_rooted_cover_budget():
     # the unique all-descent chain adds the elements in decreasing order
     assert descending_chains(p, lab, p.bottom, p.top) == [
         ("e", "6", "56", "456", "3456", "23456", "123456", "0123456")]
+
+
+def test_chain_edge_root_must_be_a_list():
+    from conftest import string_root_case
+
+    p, data = string_root_case()
+    with pytest.raises(InvalidInputError, match=r"labeling entry \{'root': '0', 'from': '0', "
+                       r"'to': 'a', 'label': 1\} has a \"root\" that is not a list"):
+        labeling_from_json(p, data)
+    for e in data["labels"]:
+        e["root"] = list(e["root"])
+    assert classify(labeling_from_json(p, data), p).is_cl

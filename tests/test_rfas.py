@@ -49,6 +49,7 @@ from conftest import (
     _rfas_from_tcl_rebuild,
     _sandwich_literal,
     shuffled_boolean_lattice,
+    string_root_case,
     tie_case,
 )
 
@@ -515,3 +516,20 @@ def test_chain_order_dag_equality_ignores_its_closure_cache():
     _ = a.preds
     assert a == b and b == a
     assert a != ChainOrderDag(a.chains, frozenset())
+
+
+def test_first_atom_root_must_be_a_list_or_null():
+    p = string_root_case()[0]
+    entry = {"x": "0", "y": "c", "atom": "b"}
+    with pytest.raises(InvalidInputError, match='has a "root" that is not a list'):
+        first_atom_set_from_json(p, {"first_atoms": [{**entry, "root": "0"}]})
+    for root in (["0"], None):
+        omega = first_atom_set_from_json(p, {"first_atoms": [{**entry, "root": root}]})
+        assert omega.first_atom(("0",), "0", "c") == "b"
+
+
+@pytest.mark.parametrize("root", [None, ("0", "a", "c")])
+def test_entry_not_strictly_below_is_an_interval_error(root):
+    # a root-less entry used to fail first on c's two roots
+    with pytest.raises(InvalidIntervalError, match="'c' is not strictly below 'a'"):
+        FirstAtomSet.from_entries(string_root_case()[0], {(root, "c", "a"): "a"})

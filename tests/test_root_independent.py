@@ -24,11 +24,13 @@ from shellab import (
     build_poset,
     classify,
     corpus,
+    descent_set,
     is_graded,
     lex_order_max_chains,
     random_bounded_poset,
     relabel_from_order,
     rooted_interval_count,
+    roots,
 )
 from shellab import labeling
 from shellab.chains import root_trie
@@ -149,6 +151,43 @@ def test_interval_dp_matches_literal_oracle_on_corpus(name, key):
     ex = corpus.load_named(name)
     for kinds in [{kind} for kind in KINDS] + [set(KINDS)]:
         _assert_matches_literal(ex.labeling(key), ex.poset, kinds)
+
+
+def _weak_descents(lab, p):
+    """The rooted cover triples (r, u, v, w) whose labels do not strictly
+    increase, read off lab.label alone."""
+    return frozenset((r, u, v, w) for u in p.elements for r in roots(p, u)
+                     for v in p.up[u] for w in p.up[v]
+                     if lab.label(r, u, v) >= lab.label(r + (v,), v, w))
+
+
+def _cl_candidates():
+    """(name, poset, labeling): every corpus labeling, and _ranked_labels
+    edge labels on 600 seeded posets, each also as a chain-edge table."""
+    for name in corpus.names():
+        ex = corpus.load_named(name)
+        for key in ex.labelings:
+            yield f"{name}/{key}", ex.poset, ex.labeling(key)
+    for seed in range(600):
+        rng = random.Random(seed)
+        p = random_bounded_poset(seed, rng.randint(2, 9), rng.random())
+        edge = CELabeling.from_edges(p, _ranked_labels(p, seed))
+        yield seed, p, edge
+        yield f"{seed}/chain-edge", p, CELabeling._from_nodes(p, edge._by_node(root_trie(p, None)))
+
+
+def test_cl_labelings_ascend_exactly_where_labels_rise():
+    # Björner-Wachs: the unique increasing chain of a CL-labeling's rooted
+    # interval is its lex-first chain, so a rooted cover triple is a
+    # topological ascent iff its labels strictly increase: CL and TCL then
+    # differ only where their ascent rules do
+    found = []
+    for name, p, lab in _cl_candidates():
+        if classify(lab, p, kinds={"cl"}).is_cl:
+            found.append(name)
+            assert descent_set(lab, p) == _weak_descents(lab, p), name
+    # 124 of the 600 draws are CL, and so are their chain-edge copies
+    assert {"fig1/left", "fig1/middle"} <= set(found) and len(found) == 250
 
 
 def test_edge_labeling_builds_no_trie():
