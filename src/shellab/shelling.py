@@ -1,5 +1,12 @@
 """Order complexes, shelling verification, restriction maps and wedge counts.
 
+A complex holds each facet as a bitmask over the positions of its
+`vertices` tuple.  Frozensets of vertices are built only where a function
+hands them out: `OrderComplex.facets` and `faces`, `restriction_map`,
+`brute_force_shellable` and `complex_to_json`.  A facet order may give each
+facet as any iterable of its vertices; it is read into one tuple of vertex
+positions per facet, and the facet it names is found by its mask.
+
 Shellings are checked in the nonpure sense: each facet after the first must
 meet the union of its predecessors in a pure subcomplex of dimension one
 less than the facet's own.  One kernel on vertex bitmasks decides this in
@@ -11,11 +18,11 @@ R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
-from operator import and_
+from itertools import combinations, compress
+from operator import and_, or_
 
 from ._record import Record
-from .chains import check_interval, interval_chains, maximal_chains, root_trie
+from .chains import RootTrie, check_interval, root_trie
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
@@ -32,22 +39,41 @@ class OrderComplex(Record):
     """A simplicial complex given by its facets (inclusion-maximal faces).
 
     Immutable and hashable; construction checks that no facet contains
-    another and that every vertex lies in some facet.
+    another and that every vertex lies in some facet.  Each facet is held
+    as a bitmask over the positions of `vertices`; `facets` builds their
+    frozensets on each access.
     """
 
+    __slots__ = ("vertices", "_masks")
     _fields = ("vertices", "facets")
 
     def __init__(self, vertices, facets):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", facets)
-        masks = _vertex_masks(self.facets)
-        every = (1 << len(self.facets)) - 1
-        for i, f in enumerate(self.facets):
-            # the facets containing f are the common bits of its vertices
-            if reduce(and_, map(masks.__getitem__, f), every) != 1 << i:
+        position = {v: i for i, v in enumerate(vertices)}
+        try:
+            indices = [tuple(map(position.__getitem__, f)) for f in facets]
+        except KeyError:  # a facet vertex missing from `vertices`
+            raise InvalidInputError("every vertex must lie in some facet") from None
+        masks = _vertex_masks(indices, len(vertices))
+        every = (1 << len(indices)) - 1
+        for i, idx in enumerate(indices):
+            # the facets containing facet i are the common bits of its vertices
+            if reduce(and_, map(masks.__getitem__, idx), every) != 1 << i:
                 raise InvalidInputError("facets must not contain one another")
-        if masks.keys() != set(self.vertices):
+        if not all(masks):
             raise InvalidInputError("every vertex must lie in some facet")
+        self._set(vertices, tuple(map(_mask, indices)))
+
+    @classmethod
+    def _of_masks(cls, vertices, masks):
+        """The complex of facet masks already known to be an antichain that
+        covers every vertex, without the constructor's checks."""
+        complex_ = object.__new__(cls)
+        complex_._set(vertices, masks)
+        return complex_
+
+    def _set(self, vertices, masks):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_masks", masks)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,8 +81,16 @@ class OrderComplex(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self):
+        return self.vertices, self._masks
+
     def __hash__(self):
-        return hash((self.vertices, self.facets))
+        return hash(self._values())
+
+    @property
+    def facets(self) -> tuple:
+        """The facets as frozensets of vertices, in order."""
+        return tuple(map(frozenset, _members(self.vertices, self._masks)))
 
     def faces(self):
         """All nonempty faces."""
@@ -74,17 +108,14 @@ class OrderComplex(Record):
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for f in self.facets:
-                if v in f:
-                    for w in f:
-                        if w not in seen:
-                            seen.add(w)
-                            frontier.append(w)
-        return len(seen) == len(self.vertices)
+        reached, grew = 1, True  # a bitmask of vertex positions
+        while grew:
+            grew = False
+            for m in self._masks:
+                if m & reached and m & ~reached:
+                    reached |= m
+                    grew = True
+        return reached == (1 << len(self.vertices)) - 1
 
     def vertex_degrees(self) -> dict:
         """Vertex degrees of the 1-skeleton."""
@@ -96,25 +127,46 @@ class OrderComplex(Record):
         return deg
 
 
+def _mask(indices) -> int:
+    """The bitmask of a tuple of positions."""
+    return reduce(or_, map((1).__lshift__, indices), 0)
+
+
+def _members(items, masks) -> list:
+    """Per mask, the tuple of the items at its set bits."""
+    bits = [1 << i for i in range(len(items))]
+    return [tuple(compress(items, map(m.__and__, bits))) for m in masks]
+
+
 def order_complex(poset: Poset, interval=None) -> OrderComplex:
     """The order complex of the poset, or of an open interval (x, y).
 
     With `interval=(x, y)` the facets are the maximal chains of [x, y]
     stripped of both endpoints; the full complex keeps the bounds (and is
-    therefore a double cone).
+    therefore a double cone).  Facets come in the order of
+    `maximal_chains` (or `interval_chains`): each RootTrie node's mask is
+    its parent's with the node's element added, read off at the top.
     """
     if interval is None:
-        facets = [frozenset(c) for c in maximal_chains(poset)]
+        x, y = poset.bottom, poset.top
         vertices = tuple(poset.elements)
-        return OrderComplex(vertices, tuple(facets))
-    x, y = interval
-    check_interval(poset, x, y)
-    inner = [e for e in poset.interval(x, y) if e not in (x, y)]
-    if not inner:
-        raise EmptyIntervalError(f"open interval ({x!r}, {y!r}) is empty")
-    # distinct maximal chains of [x, y] have distinct interiors
-    facets = tuple(frozenset(c[1:-1]) for c in interval_chains(poset, x, y))
-    return OrderComplex(tuple(inner), facets)
+        trie = root_trie(poset, None)
+    else:
+        x, y = interval
+        check_interval(poset, x, y)
+        vertices = tuple(e for e in poset.interval(x, y) if e not in (x, y))
+        if not vertices:
+            raise EmptyIntervalError(f"open interval ({x!r}, {y!r}) is empty")
+        trie = RootTrie(poset, x, y)
+    bit = {e: 1 << i for i, e in enumerate(vertices)}
+    if interval is not None:
+        # distinct maximal chains of [x, y] have distinct interiors
+        bit[x] = bit[y] = 0
+    elem, parent = trie.elem, trie.parent
+    masks = [bit[x]]
+    for v in range(1, len(elem)):
+        masks.append(masks[parent[v]] | bit[elem[v]])
+    return OrderComplex._of_masks(vertices, tuple(map(masks.__getitem__, trie.nodes_of[y])))
 
 
 class ShellingResult(Record):
@@ -128,50 +180,68 @@ class ShellingResult(Record):
         return self.ok
 
 
-def _check_order_is_permutation(complex_: OrderComplex, order):
-    order = tuple(order)
-    if sorted(order, key=sorted) != sorted(complex_.facets, key=sorted):
+def _order_indices(complex_: OrderComplex, order) -> list:
+    """The tuple of vertex positions of each facet of `order`, which gives
+    each facet as an iterable of its vertices.  Raises InvalidInputError
+    unless `order` names every facet of the complex exactly once."""
+    position = {v: i for i, v in enumerate(complex_.vertices)}
+    unplaced = set(complex_._masks)
+    out = []
+    try:
+        for facet in order:
+            idx = tuple(map(position.__getitem__, facet))
+            mask = _mask(idx)
+            unplaced.remove(mask)  # a KeyError if named already or not a facet
+            if mask.bit_count() != len(idx):  # a vertex named twice
+                idx = tuple(dict.fromkeys(idx))
+            out.append(idx)
+    except (KeyError, TypeError):  # also an unknown vertex, or a facet that is no iterable
+        raise InvalidInputError("order must be a permutation of the facets") from None
+    if unplaced:
         raise InvalidInputError("order must be a permutation of the facets")
-    return order
+    return out
 
 
-def _vertex_masks(facets) -> dict:
-    """vertex -> bitmask of the positions of the facets containing it."""
-    masks = {}
-    for pos, facet in enumerate(facets):
-        for v in facet:
-            masks[v] = masks.get(v, 0) | 1 << pos
+def _vertex_masks(facets, n) -> list:
+    """Per vertex position below n, the bitmask of the positions of the
+    facets (tuples of vertex positions) containing it."""
+    masks = [0] * n
+    for pos, idx in enumerate(facets):
+        bit = 1 << pos
+        for i in idx:
+            masks[i] |= bit
     return masks
 
 
 def _restriction(masks, facet, earlier):
-    """(R, holders) for `facet` placed after the facets in bitmask `earlier`.
+    """(R, holders) for `facet`, a tuple of vertex positions, placed after
+    the facets in bitmask `earlier`.
 
     v is in R when the AND of `earlier` with the masks of facet - v is
     nonzero (prefix and suffix ANDs give this for every v).  `holders` is the
     bitmask of earlier facets containing R: 0 exactly when the placement
     keeps a shelling.
     """
-    vs = tuple(facet)
     suffix = [earlier]
-    for v in reversed(vs):
+    for v in reversed(facet):
         suffix.append(suffix[-1] & masks[v])
     suffix.reverse()
     restr, holders, prefix = [], earlier, -1
-    for v, rest in zip(vs, suffix[1:]):
+    for v, rest in zip(facet, suffix[1:]):
         if prefix & rest:
             restr.append(v)
             holders &= masks[v]
         prefix &= masks[v]
-    return frozenset(restr), holders
+    return restr, holders
 
 
 def is_shelling(complex_: OrderComplex, order) -> ShellingResult:
     """Nonpure shelling test.  A failure carries the first (j, i) such that
     no k < j has F_i & F_j <= F_k & F_j with |F_k & F_j| = |F_j| - 1; these
-    i are exactly the earlier facets containing R(F_j)."""
-    order = _check_order_is_permutation(complex_, order)
-    masks = _vertex_masks(order)
+    i are exactly the earlier facets containing R(F_j).  Each facet of
+    `order` may be any iterable of its vertices."""
+    order = _order_indices(complex_, order)
+    masks = _vertex_masks(order, len(complex_.vertices))
     for j in range(1, len(order)):
         _, holders = _restriction(masks, order[j], (1 << j) - 1)
         if holders:
@@ -180,18 +250,21 @@ def is_shelling(complex_: OrderComplex, order) -> ShellingResult:
 
 
 def restriction_map(complex_: OrderComplex, order) -> dict:
-    """R(F_j) = vertices v of F_j with F_j - v contained in an earlier facet.
+    """R(F_j) = vertices v of F_j with F_j - v contained in an earlier facet,
+    keyed by the facet, both as frozensets.
 
     The new faces contributed at step j are exactly those containing R(F_j).
     Raises NotAShellingError when the order is not a shelling.
     """
-    order = _check_order_is_permutation(complex_, order)
-    masks = _vertex_masks(order)
+    order = _order_indices(complex_, order)
+    masks = _vertex_masks(order, len(complex_.vertices))
+    vertex = complex_.vertices.__getitem__
     out = {}
     for j, facet in enumerate(order):
-        out[facet], holders = _restriction(masks, facet, (1 << j) - 1)
+        restr, holders = _restriction(masks, facet, (1 << j) - 1)
         if holders:
             raise NotAShellingError("facet order fails the shelling condition")
+        out[frozenset(map(vertex, facet))] = frozenset(map(vertex, restr))
     return out
 
 
@@ -281,17 +354,20 @@ def brute_force_shellable(complex_: OrderComplex, max_facets: int = 9):
     facets, so `_orderings` memoizes the failed prefix sets.  Complexes with
     more than `max_facets` facets are refused.
     """
-    facets = complex_.facets
-    n = len(facets)
+    n, m = len(complex_._masks), len(complex_.vertices)
     if n > max_facets:
         raise BudgetExceededError(
             f"complex has {n} facets, brute-force cap is {max_facets}",
             facets=n, max_facets=max_facets,
         )
-    masks = _vertex_masks(facets)
+    indices = _members(range(m), complex_._masks)
+    masks = _vertex_masks(indices, m)
     order = next(_orderings(
-        n, lambda j, placed: not _restriction(masks, facets[j], placed)[1]), None)
-    return None if order is None else tuple(facets[i] for i in order)
+        n, lambda j, placed: not _restriction(masks, indices[j], placed)[1]), None)
+    if order is None:
+        return None
+    facets = complex_.facets
+    return tuple(facets[i] for i in order)
 
 
 def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
@@ -329,8 +405,7 @@ def complex_from_json(data: dict) -> OrderComplex:
             isinstance(f, (list, tuple)) for f in listed):
         raise InvalidInputError('a complex needs an object with a "facets" list of vertex lists')
     try:
-        facets = tuple(frozenset(f) for f in listed)
-        vertices = tuple(sorted(set().union(*facets))) if facets else ()
+        vertices = tuple(sorted(set().union(*listed)))
     except TypeError as exc:  # an unhashable vertex, or strings mixed with numbers
         raise InvalidInputError(f"unusable facet vertices: {exc}") from None
-    return OrderComplex(vertices, facets)
+    return OrderComplex(vertices, listed)

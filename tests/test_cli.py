@@ -115,6 +115,32 @@ def test_shelling_verify_complex_file(tmp_path, capsys):
     assert run(["shelling-verify", str(path), "--order-file", str(order)]) == 1
 
 
+@pytest.mark.parametrize("facets, order, violation", [
+    ([[1, 2], [2, 3]], "1 2\n2 3\n", None),
+    ([[1, 2], [2, 3], [3, 4]], "1 2\n3 4\n2 3\n", [1, 0]),
+], ids=["shelling", "not-a-shelling"])
+def test_shelling_verify_integer_vertices(tmp_path, capsys, facets, order, violation):
+    # an order-file token names the vertex whose str() it is
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"facets": facets}))
+    (tmp_path / "order.txt").write_text(order)
+    code = run(["shelling-verify", str(path), "--order-file", str(tmp_path / "order.txt"),
+                "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (violation is not None)
+    assert report["witnesses"] == ({} if violation is None
+                                   else {"shelling": {"violation_at": violation}})
+
+
+def test_order_file_cannot_name_vertices_sharing_a_string_form(tmp_path):
+    # no complex file gives such vertices (they do not sort), but a complex
+    # built in process can
+    (tmp_path / "order.txt").write_text("1\n1\n")
+    k = shellab.OrderComplex((1, "1"), (frozenset({1}), frozenset({"1"})))
+    with pytest.raises(shellab.InvalidInputError, match="share a string form"):
+        cli._read_facet_order(tmp_path / "order.txt", k)
+
+
 def test_poset_file_input(tmp_path, capsys):
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset_to_json(load_named("fig1").poset)))

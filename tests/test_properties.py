@@ -204,6 +204,49 @@ def test_shelling_kernel_matches_literal_oracles(p, shuffle_seed):
                 == (shelling_orders_by_exhaustion(k.facets) == []))
 
 
+def _open_intervals(p):
+    """The pairs x < y whose open interval is nonempty."""
+    return [(x, y) for x in p.elements for y in p.elements if len(p.interval(x, y)) > 2]
+
+
+@SETTINGS
+@given(posets)
+def test_order_complex_facets_are_the_maximal_chains(p):
+    # in order; the open-interval form strips both endpoints
+    assert order_complex(p).facets == tuple(frozenset(c) for c in maximal_chains(p))
+    for x, y in _open_intervals(p):
+        assert order_complex(p, interval=(x, y)).facets == tuple(
+            frozenset(c[1:-1]) for c in interval_chains(p, x, y))
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_shelling_kernel_matches_literal_oracle_on_open_intervals(p, shuffle_seed):
+    rng = random.Random(shuffle_seed)
+    for x, y in _open_intervals(p):
+        k = order_complex(p, interval=(x, y))
+        order = list(k.facets)
+        rng.shuffle(order)
+        assert is_shelling(k, order).first_violation == _shelling_violation_literal(order)
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_is_shelling_reads_any_facet_form(p, shuffle_seed):
+    # a facet of the order may be a frozenset, a chain tuple or a list, in
+    # any vertex order and with a vertex named twice
+    k = order_complex(p)
+    chains = list(maximal_chains(p))
+    random.Random(shuffle_seed).shuffle(chains)
+    forms = ([frozenset(c) for c in chains], chains, [list(c) for c in chains],
+             [c[::-1] for c in chains], [c + c[1:-1] for c in chains])
+    result = is_shelling(k, forms[0])
+    assert all(is_shelling(k, order) == result for order in forms[1:])
+    if result.ok:
+        rmap = restriction_map(k, forms[0])
+        assert all(restriction_map(k, order) == rmap for order in forms[1:])
+
+
 @SETTINGS
 @given(posets, st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans(),
        st.sets(st.sampled_from(KINDS), min_size=1))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from shellab import (
     BudgetExceededError,
     EmptyIntervalError,
     EulerMismatchError,
+    InvalidInputError,
     InvalidIntervalError,
     NotAShellingError,
     OrderComplex,
@@ -23,10 +25,12 @@ from shellab import (
     order_complex,
     restriction_map,
 )
+from shellab.chains import root_trie
 from conftest import (
     _is_shelling_literal,
     brute_euler_characteristic,
     shelling_orders_by_exhaustion,
+    shuffled_boolean_lattice,
 )
 
 
@@ -98,6 +102,48 @@ def test_triangle_boundary():
     assert rep.euler_characteristic == 0
     with pytest.raises(ValueError, match="contain one another"):
         OrderComplex(k.vertices, k.facets + (frozenset("a"),))
+
+
+@pytest.mark.parametrize("vertices, facets", [
+    ("abc", ("ab",)),
+    ("a", ("ab",)),
+], ids=["vertex-in-no-facet", "facet-vertex-not-listed"])
+def test_every_vertex_must_lie_in_some_facet(vertices, facets):
+    with pytest.raises(InvalidInputError, match="every vertex must lie in some facet"):
+        OrderComplex(tuple(vertices), tuple(map(frozenset, facets)))
+
+
+@pytest.mark.parametrize("order", [
+    ("ab", "bc", "ca", "ab"),
+    ("ab", "bc"),
+    ("ab", "bc", "cz"),
+    ("ab", "bc", "c"),
+], ids=["repeated-facet", "missing-facet", "unknown-vertex", "proper-subset-of-a-facet"])
+def test_order_must_be_a_permutation_of_the_facets(order):
+    k = OrderComplex(("a", "b", "c"), (frozenset("ab"), frozenset("bc"), frozenset("ca")))
+    for facets in (list(map(frozenset, order)), list(map(tuple, order)), list(order)):
+        with pytest.raises(InvalidInputError, match="permutation of the facets"):
+            is_shelling(k, facets)
+        with pytest.raises(InvalidInputError, match="permutation of the facets"):
+            restriction_map(k, facets)
+
+
+def test_order_complex_and_is_shelling_stay_small():
+    # B_6: 720 facets on 64 vertices, the order given as chain tuples.  With
+    # every facet held as a frozenset of vertices (and the order read into
+    # frozensets), order_complex kept 519 KiB and the peak from order_complex
+    # through is_shelling was 1,150 KiB on Python 3.11.7; on vertex bitmasks
+    # they are 32 KiB and 140 KiB.
+    p, lab = shuffled_boolean_lattice(6, 0)
+    order = lex_order_max_chains(lab, p)
+    root_trie(p, None)
+    tracemalloc.start()
+    try:
+        assert is_shelling(order_complex(p), order).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_150 * 1024 // 3
 
 
 def test_homotopy_report_euler_mismatch_raises(monkeypatch):
