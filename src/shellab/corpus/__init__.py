@@ -7,7 +7,7 @@ record is re-derived by the test suite, so the files are data, not verdicts.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .._record import Record
 from ..errors import UnknownNameError
@@ -43,11 +43,14 @@ def names() -> tuple:
 
 
 def _read(name: str) -> dict:
+    # a plain path, not importlib.resources, which on Python 3.12+ imports
+    # inspect and ast; the JSON files are installed as package data
+    path = os.path.join(os.path.dirname(__file__), f"{name}.json")
     try:
-        text = resources.files(__package__).joinpath(f"{name}.json").read_text()
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except FileNotFoundError:
         raise UnknownNameError(f"no built-in example named {name!r}") from None
-    return json.loads(text)
 
 
 def load_named(name: str) -> NamedExample:

@@ -8,7 +8,6 @@ determinism from it.  All operations here are pure functions.
 from __future__ import annotations
 
 import json
-import random
 
 from .errors import (
     CycleDetectedError,
@@ -211,6 +210,8 @@ def random_bounded_poset(seed: int, n: int, edge_probability: float) -> Poset:
     reduction, then adjoins a bottom below all minimal and a top above all
     maximal internal nodes.  The same seed always yields the same poset.
     """
+    import random  # here, so that importing the CLI does not load it
+
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)

@@ -62,44 +62,33 @@ class FirstAtomSet:
         """Build a total table from explicit entries plus a fill rule.
 
         `entries` maps (root, x, y) -> atom; a root may be omitted (None) when
-        x has a single root, in which case the entry applies to it.  An entry
-        naming no rooted interval raises InvalidRootError or InvalidIntervalError.
+        x has a single root.  Entries are checked as they are read, so the
+        first bad one is reported: InvalidRootError for a root that is not a
+        root of x, InvalidIntervalError unless x < y, MissingFirstAtomError for
+        a root-less x with several roots or an atom not an atom of [x, y].
+        Each rooted interval no entry names gets its only atom, or with
+        default="leftmost" its canonically least one.
         """
-        trie = root_trie(poset, budget)
-        explicit = {}
+        trie, table = root_trie(poset, budget), {}
         for (r, x, y), atom in dict(entries).items():
-            if r is None:
-                if x not in poset.index or not poset.lt(x, y):
-                    raise InvalidIntervalError(f"{x!r} is not strictly below {y!r}")
-                gs = trie.nodes_of[x]
-                if len(gs) != 1:
-                    raise MissingFirstAtomError(
-                        f"{x!r} has {len(gs)} roots; entry for [{x!r},{y!r}] must name one"
-                    )
-                g = gs[0]
-            else:
-                g = trie.resolve(r, (x,))[0]
-            explicit[(g, y)] = atom
-        table = {}
-        for g, x, y in rooted_interval_nodes(poset, trie):
-            atoms = trie.below(g, y)
-            if (g, y) in explicit:
-                atom = explicit[(g, y)]
-                c = next((c for c in atoms if trie.elem[c] == atom), None)
-                if c is None:
-                    raise MissingFirstAtomError(
-                        f"{atom!r} is not an atom of [{x!r}, {y!r}]"
-                    )
-            elif len(atoms) == 1 or default == "leftmost":
-                c = atoms[0]  # the canonically least atom
-            else:
+            # a given root resolves to one node; a root-less x has its roots
+            gs = trie.nodes_of.get(x, ()) if r is None else trie.resolve(r, (x,))
+            if x not in poset.index or not poset.lt(x, y):
+                raise InvalidIntervalError(f"{x!r} is not strictly below {y!r}")
+            if len(gs) != 1:
                 raise MissingFirstAtomError(
-                    f"no entry for rooted interval ({trie.chain(g)!r}, {x!r}, {y!r})"
-                )
-            table[(g, y)] = c
-        if explicit.keys() - table.keys():
-            g, y = min(explicit.keys() - table.keys(), key=repr)
-            raise InvalidIntervalError(f"{trie.elem[g]!r} is not strictly below {y!r}")
+                    f"{x!r} has {len(gs)} roots; entry for [{x!r},{y!r}] must name one")
+            c = trie.child(gs[0], atom)
+            if c is None or not poset.leq(trie.elem[c], y):
+                raise MissingFirstAtomError(f"{atom!r} is not an atom of [{x!r}, {y!r}]")
+            table[(gs[0], y)] = c
+        for g, x, y in rooted_interval_nodes(poset, trie):
+            if (g, y) not in table:
+                atoms = trie.below(g, y)
+                if len(atoms) > 1 and default != "leftmost":
+                    raise MissingFirstAtomError(
+                        f"no entry for rooted interval ({trie.chain(g)!r}, {x!r}, {y!r})")
+                table[(g, y)] = atoms[0]  # the canonically least atom
         return cls(poset, table)
 
     def first_atom(self, root, x, y):

@@ -24,7 +24,14 @@ from shellab import (
     label_sequence,
 )
 from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, root_trie, rooted_interval_nodes
-from shellab.errors import AmbiguousOrderError, NotAnRfasError, NotTclError
+from shellab.errors import (
+    AmbiguousOrderError,
+    InvalidIntervalError,
+    InvalidRootError,
+    MissingFirstAtomError,
+    NotAnRfasError,
+    NotTclError,
+)
 from shellab.labeling import classify, descent_set, lex_order_max_chains
 from shellab.rao import _Search
 from shellab.relabel import relabel_from_order
@@ -358,6 +365,35 @@ def _rooted_intervals_literal(poset):
         for r in _canonical_paths(poset, poset.bottom, x):
             for y in above:
                 yield r, x, y
+
+
+def _first_atom_fill_literal(poset, entries, default="leftmost"):
+    """FirstAtomSet.from_entries on tuple roots: {(r, x, y): atom} for every
+    rooted interval.  The entries are checked in order and the first bad one
+    raises; then the first rooted interval that no entry names, has several
+    atoms and gets no default raises."""
+    intervals = list(_rooted_intervals_literal(poset))
+    named = {}
+    for (r, x, y), atom in dict(entries).items():
+        rs = _canonical_paths(poset, poset.bottom, x) if x in poset.index else []
+        if r is not None:
+            if tuple(r) not in rs:
+                raise InvalidRootError(f"{r!r} is not a root of {x!r}")
+            rs = [tuple(r)]
+        if x not in poset.index or y == x or y not in bfs_reachable(poset.covers, x):
+            raise InvalidIntervalError(f"{x!r} is not strictly below {y!r}")
+        if len(rs) != 1:
+            raise MissingFirstAtomError(f"{x!r} has {len(rs)} roots")
+        if atom not in poset.atoms_of(x, y):
+            raise MissingFirstAtomError(f"{atom!r} is not an atom of [{x!r}, {y!r}]")
+        named[(rs[0], x, y)] = atom
+    table = {}
+    for r, x, y in intervals:
+        atoms = sorted(poset.atoms_of(x, y), key=poset.index.__getitem__)
+        if (r, x, y) not in named and len(atoms) > 1 and default != "leftmost":
+            raise MissingFirstAtomError(f"no entry for rooted interval ({r!r}, {x!r}, {y!r})")
+        table[(r, x, y)] = named.get((r, x, y), atoms[0])
+    return table
 
 
 def _relabel_literal(poset, order):

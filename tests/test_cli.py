@@ -286,14 +286,16 @@ def test_missing_field_in_input_file_is_an_error(tmp_path, capsys, argv, content
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_ast():
-    # every CLI op pays for what `import shellab.cli` loads; these three
-    # modules alone once cost about 13 ms per process
-    heavy = ("dataclasses", "inspect", "ast")
+    # every CLI op pays for what `import shellab.cli` loads; dataclasses,
+    # inspect and ast alone once cost about 13 ms per process, and
+    # importlib.resources pulls in inspect and ast on Python 3.12+.  -S skips
+    # site-packages, whose .pth hooks may preload any of these modules.
+    heavy = ("dataclasses", "inspect", "ast", "importlib.resources", "random")
     probe = "import sys{}; print(' '.join(m for m in {!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
 
     def loaded(extra):
-        out = subprocess.run([sys.executable, "-c", probe.format(extra, heavy)],
+        out = subprocess.run([sys.executable, "-S", "-c", probe.format(extra, heavy)],
                              env=env, capture_output=True, text=True, check=True).stdout
         return set(out.split())
 

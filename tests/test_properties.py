@@ -37,6 +37,7 @@ from shellab import (
 )
 from shellab import corpus
 from shellab.chains import roots
+from shellab.errors import ShellabError
 from shellab.labeling import KINDS
 from conftest import (
     _canonical_paths,
@@ -44,6 +45,7 @@ from conftest import (
     _check_lc_literal,
     _check_rfas_literal,
     _classify_literal,
+    _first_atom_fill_literal,
     _is_shelling_literal,
     _linear_extensions_literal,
     _rao_literal,
@@ -279,6 +281,41 @@ def test_self_consistency_witness_matches_literal_oracle(seed, n):
     rep = classify(lab, p, kinds={"tcl", "self-consistent"})
     assert rep.is_tcl and not rep.is_self_consistent
     assert rep == _classify_literal(lab, p, {"tcl", "self-consistent"})
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["leftmost", None]))
+def test_from_entries_matches_literal_fill(p, seed, default):
+    # random entries, some spoiled: a dropped root (fine when x has one
+    # root), a root of another element, a y not above x, or a non-atom
+    rng = random.Random(seed)
+    intervals = list(_rooted_intervals_literal(p))
+    names = list(p.elements) + ["nowhere"]
+    entries = {}
+    for r, x, y in rng.sample(intervals, min(len(intervals), rng.randrange(6))):
+        atom = rng.choice(p.atoms_of(x, y))
+        spoil = rng.randrange(8)
+        if spoil == 0:
+            r = None
+        elif spoil == 1:
+            r = rng.choice(intervals)[0]
+        elif spoil == 2:
+            y = rng.choice(names)
+        elif spoil == 3:
+            atom = rng.choice(names)
+        entries[(r, x, y)] = atom
+
+    def outcome(build):
+        try:
+            return build()
+        except ShellabError as exc:
+            return type(exc)
+
+    def fill():
+        omega = FirstAtomSet.from_entries(p, entries, default)
+        return {(r, x, y): omega.first_atom(r, x, y) for r, x, y in intervals}
+
+    assert outcome(fill) == outcome(lambda: _first_atom_fill_literal(p, entries, default))
 
 
 @SETTINGS

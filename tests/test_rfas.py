@@ -533,3 +533,13 @@ def test_entry_not_strictly_below_is_an_interval_error(root):
     # a root-less entry used to fail first on c's two roots
     with pytest.raises(InvalidIntervalError, match="'c' is not strictly below 'a'"):
         FirstAtomSet.from_entries(string_root_case()[0], {(root, "c", "a"): "a"})
+
+
+def test_first_bad_entry_in_file_order_is_reported(fig1):
+    # the first entry's y is not above x; the second names a non-atom.  Each
+    # entry is checked as it is read, so the first one is reported.
+    entries = {(("0hat", "a"), "a", "b"): "c", (("0hat",), "0hat", "1hat"): "1hat"}
+    with pytest.raises(InvalidIntervalError, match="'a' is not strictly below 'b'"):
+        FirstAtomSet.from_entries(fig1.poset, entries)
+    with pytest.raises(MissingFirstAtomError, match="'1hat' is not an atom of"):
+        FirstAtomSet.from_entries(fig1.poset, dict(reversed(entries.items())))
