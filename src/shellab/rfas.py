@@ -1,18 +1,19 @@
 """Recursive first atom sets and their induced shelling machinery.
 
 A first atom set designates one atom per rooted interval.  Validation checks
-two conditions: (i) an atom heads its interval exactly when it heads the
-smaller interval capped at the designated atom above it, and (ii) from any
-non-first atom there is a finite zig-zag of designated atoms leading back to
-the interval's first atom.  Valid tables induce a partial order on maximal
-chains whose linear extensions are shelling orders; an extra linear
-extension condition (LC) characterizes when some chain-edge labeling is
-compatible with the table.
+three conditions: (i) an atom heads its interval exactly when it heads the
+smaller interval capped at the designated atom above it, (ii) from any
+non-first atom a finite zig-zag of designated atoms leads back to the
+interval's first atom, and ("order") the order these tables induce on
+maximal chains, built by the same walk, has no cycle.  Its linear
+extensions are shelling orders; an extra linear extension condition (LC)
+characterizes when some chain-edge labeling is compatible with the table.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, count, product
 
 from ._record import Record
 from .chains import (
@@ -21,6 +22,7 @@ from .chains import (
     maximal_chains,
     root_trie,
     rooted_interval_nodes,
+    strictly_above,
 )
 from .errors import (
     BudgetExceededError,
@@ -65,9 +67,9 @@ class FirstAtomSet:
         x has a single root.  Entries are checked as they are read, so the
         first bad one is reported: InvalidRootError for a root that is not a
         root of x, InvalidIntervalError unless x < y, MissingFirstAtomError for
-        a root-less x with several roots or an atom not an atom of [x, y].
-        Each rooted interval no entry names gets its only atom, or with
-        default="leftmost" its canonically least one.
+        a root-less x with several roots or an atom not an atom of [x, y],
+        InvalidInputError for a second atom of one rooted interval.  Other
+        rooted intervals get their only atom, or by default="leftmost" the least.
         """
         trie, table = root_trie(poset, budget), {}
         for (r, x, y), atom in dict(entries).items():
@@ -81,7 +83,9 @@ class FirstAtomSet:
             c = trie.child(gs[0], atom)
             if c is None or not poset.leq(trie.elem[c], y):
                 raise MissingFirstAtomError(f"{atom!r} is not an atom of [{x!r}, {y!r}]")
-            table[(gs[0], y)] = c
+            if table.setdefault((gs[0], y), c) != c:  # a rooted and a root-less entry
+                raise InvalidInputError(f"first atom entries give {(trie.chain(gs[0]), x, y)!r} "
+                                        f"two values, {trie.elem[table[(gs[0], y)]]!r} and {atom!r}")
         for g, x, y in rooted_interval_nodes(poset, trie):
             if (g, y) not in table:
                 atoms = trie.below(g, y)
@@ -125,8 +129,8 @@ class RfasViolation(Record):
     _fields = ("condition", "direction", "root", "x", "y", "atom", "detail")
 
     def __init__(self, condition, direction, root, x, y, atom, detail=""):
-        self.condition = condition  # "i" or "ii"
-        self.direction = direction  # "forward"/"backward" for (i), None for (ii)
+        self.condition = condition  # "i", "ii" or "order"
+        self.direction = direction  # "forward"/"backward" for (i), else None
         self.root = root
         self.x = x
         self.y = y
@@ -135,11 +139,12 @@ class RfasViolation(Record):
 
 
 class RfasReport(Record):
-    _fields = ("ok", "violations")
+    _fields = ("ok", "violations", "edges")
 
-    def __init__(self, ok, violations=None):
+    def __init__(self, ok, violations=None, edges=frozenset()):
         self.ok = ok
         self.violations = [] if violations is None else violations
+        self.edges = edges  # the chain order, as ChainOrderDag.edges
 
     def __bool__(self):
         return self.ok
@@ -147,9 +152,9 @@ class RfasReport(Record):
 
 def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
                budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> RfasReport:
-    """Validate both first atom set conditions on every rooted interval.
+    """Validate the three first atom set conditions; one walk also builds the chain order.
 
-    Both conditions are read off one map on the atoms of a rooted interval
+    (i) and (ii) are read off one map on the atoms of a rooted interval
     [x, y] that y does not cover: atom a steps to the designated atom of
     [x, b], where b is the designated atom of [a, y] rooted at a.
     (i) The designated atom of [x, y] is the step's only fixed point: it
@@ -157,38 +162,58 @@ def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
     atom steps to itself.  (ii) The orbit of every other atom reaches the
     designated atom.  With literal_ii=True the orbit is cut after one step,
     as when each capped interval keeps the previous atom's root, which is
-    never a valid root (kept for auditability).
+    never a valid root (kept for auditability).  ("order") When (i) and
+    (ii) hold, the chain order has no cycle.  Its edges, report.edges, put
+    each chain through x < c < y, c not designated in [x, y], after the
+    chain that takes the first atom chain of [x, y] there instead.
     """
     trie = root_trie(poset, budget)
-    elem, table = trie.elem, omega.table
-    violations = []
-    for g, x, y in rooted_interval_nodes(poset, trie):
-        first = table[(g, y)]
-        if elem[first] == y:
-            continue  # y covers x, so it is the only atom and steps nowhere
-        atoms = trie.below(g, y)
-        step = {}
-        for c in atoms:
-            b = elem[table[(c, y)]]
-            step[c] = table[(g, b)]
-            if (c == first) != (step[c] == c):
-                a = elem[c]
-                heads, misses = (y, b) if c == first else (b, y)
-                violations.append(RfasViolation(
-                    "i", "forward" if c == first else "backward", trie.chain(g), x, y, a,
-                    f"{a!r} heads [{x!r},{heads!r}] but not [{x!r},{misses!r}]"))
-        for c in atoms:
-            if c == first:
-                continue
-            seen, a = set(), step[c]
-            while not (a == first or a in seen or literal_ii):
-                seen.add(a)
-                a = step[a]
-            if a != first:
-                violations.append(RfasViolation(
-                    "ii", None, trie.chain(g), x, y, elem[c],
-                    f"no first-atom walk from {elem[c]!r} back to {elem[first]!r}"))
-    return RfasReport(not violations, violations)
+    elem, end, table = trie.elem, trie.end, omega.table
+    # a subtree's maximal chains (leaves) are a run: rank[v] of them precede v
+    rank = list(accumulate((e == poset.top for e in elem), initial=0))
+    violations, edges = [], []
+    for x in poset.elements:  # [x, y] with y covering x has one atom, stepping nowhere
+        far = [y for y in strictly_above(poset, x) if y not in poset.up[x]]
+        for g, y in product(trie.nodes_of[x], far):
+            first = table[(g, y)]
+            atoms = trie.below(g, y)
+            step, f = {}, first
+            for c in atoms:
+                b = elem[k := table[(c, y)]]
+                step[c] = table[(g, b)]
+                if (c == first) != (step[c] == c):
+                    a = elem[c]
+                    heads, misses = (y, b) if c == first else (b, y)
+                    violations.append(RfasViolation(
+                        "i", "forward" if c == first else "backward", trie.chain(g), x, y, a,
+                        f"{a!r} heads [{x!r},{heads!r}] but not [{x!r},{misses!r}]"))
+                if b == y and c != first:
+                    # the replacements of the chains through k pass node f, the end of
+                    # the first atom chain, whose subtree is numbered like that of k
+                    while elem[f] != y:
+                        f = table[(f, y)]
+                    edges += zip(count(rank[f]), range(rank[k], rank[end[k]]))
+            for c in atoms:
+                if c == first:
+                    continue
+                seen, a = set(), step[c]
+                while not (a == first or a in seen or literal_ii):
+                    seen.add(a)
+                    a = step[a]
+                if a != first:
+                    violations.append(RfasViolation(
+                        "ii", None, trie.chain(g), x, y, elem[c],
+                        f"no first-atom walk from {elem[c]!r} back to {elem[first]!r}"))
+    if not violations:
+        succ = [[] for _ in range(rank[-1])]
+        for i, j in edges:
+            succ[i].append(j)
+        try:
+            _topo_indices(len(succ), succ)
+        except NotAnRfasError as exc:
+            violations.append(RfasViolation(
+                "order", None, (poset.bottom,), poset.bottom, poset.top, None, str(exc)))
+    return RfasReport(not violations, violations, frozenset(edges))
 
 
 class ChainOrderDag(Record):
@@ -269,7 +294,6 @@ def _topo_indices(n, succ):
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     if len(order) != n:
-        # the chain order of a valid RFAS is acyclic
         raise NotAnRfasError(
             f"chain order has a cycle through {n - len(order)} of {n} chains")
     return order
@@ -278,28 +302,14 @@ def _topo_indices(n, succ):
 def chain_order_dag(poset: Poset, omega: FirstAtomSet,
                     budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> ChainOrderDag:
     """Directed graph on maximal chains: m -> m' when m' has a pseudo descent
-    whose replacement by the first atom chain yields m."""
+    whose replacement by the first atom chain yields m.  The edges are those
+    check_rfas builds; raises NotAnRfasError unless it accepts the table."""
     report = check_rfas(poset, omega, budget=budget)
     if not report.ok:
-        raise NotAnRfasError(f"{len(report.violations)} violations; not an RFAS")
-    trie, table = omega.trie, omega.table
-    elem, parent = trie.elem, trie.parent
-    pos = {d: j for j, d in enumerate(trie.nodes_of[poset.top])}
-    edges = set()
-    for k in range(len(trie)):
-        if trie.depth[k] < 2:
-            continue
-        # chains through node k (root r + (x, y, z)) have a pseudo descent
-        # at y unless y heads [x, z]; their replacements pass node f, the end
-        # of the first atom chain, whose subtree is numbered like that of k
-        z, f = elem[k], table[(parent[parent[k]], elem[k])]
-        if f == parent[k]:
-            continue
-        while elem[f] != z:
-            f = table[(f, z)]
-        for d in trie.within(k, poset.top):
-            edges.add((pos[f + d - k], pos[d]))
-    return ChainOrderDag(maximal_chains(poset), frozenset(edges))
+        v = report.violations  # an "order" violation comes alone
+        raise NotAnRfasError(v[0].detail if v[0].condition == "order" else
+                             f"{len(v)} violations; not an RFAS")
+    return ChainOrderDag(maximal_chains(poset), report.edges)
 
 
 def linear_extensions(dag: ChainOrderDag):
@@ -420,8 +430,8 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
     interval's unique topologically ascending chain.
 
     Condition (i) holds for any TCL-labeling, and (ii) whenever each
-    ascending chain is its interval's strictly lex-least chain; a table
-    that fails check_rfas raises NotAnRfasError."""
+    ascending chain is its interval's strictly lex-least chain; "order" is
+    not proven, so a table that check_rfas refuses raises NotAnRfasError."""
     trie = root_trie(poset, budget)
     dp, atoms = _Intervals(lab, poset, trie), {}
     first = dp.passes({"tcl"}, atoms=atoms)[0]

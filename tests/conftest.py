@@ -35,7 +35,15 @@ from shellab.errors import (
 from shellab.labeling import classify, descent_set, lex_order_max_chains
 from shellab.rao import _Search
 from shellab.relabel import relabel_from_order
-from shellab.rfas import FirstAtomSet, RfasReport, RfasViolation, is_compatible, rfas_from_tcl
+from shellab.poset import poset_from_json
+from shellab.rfas import (
+    FirstAtomSet,
+    RfasReport,
+    RfasViolation,
+    first_atom_set_from_json,
+    is_compatible,
+    rfas_from_tcl,
+)
 from shellab.shelling import descending_chains
 
 
@@ -459,7 +467,31 @@ def _check_rfas_literal(poset, omega, literal_ii=False):
                     violations.append(RfasViolation(
                         "ii", None, r, x, y, a,
                         f"no first-atom walk from {a!r} back to {first!r}"))
-    return RfasReport(not violations, violations)
+    dag = _chain_order_dag_literal(poset, omega)
+    stuck = () if violations else _cycle_reach_literal(len(dag.chains), dag.edges)
+    if stuck:
+        bottom, top = poset.bottom, poset.top
+        violations.append(RfasViolation(
+            "order", None, (bottom,), bottom, top, None,
+            f"chain order has a cycle through {len(stuck)} of {len(dag.chains)} chains"))
+    return RfasReport(not violations, violations, dag.edges)
+
+
+def _cycle_reach_literal(n, edges):
+    """The nodes 0..n-1 that lie on a cycle of the edges or are reached from
+    one, by a DFS from each node: those no topological order can place."""
+    def reached(i):  # the nodes at the end of a path of one or more edges
+        seen, stack = set(), [j for a, j in edges if a == i]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(j for a, j in edges if a == v)
+        return seen
+
+    reach = [reached(i) for i in range(n)]
+    on_cycle = [i for i in range(n) if i in reach[i]]
+    return set(on_cycle).union(*(reach[i] for i in on_cycle))
 
 
 def _rfas_from_tcl_rebuild(poset, lab, budget=DEFAULT_ROOTED_COVER_BUDGET):
@@ -730,6 +762,36 @@ def tie_case():
         ("0hat", "v5"): 2, ("v1", "v4"): 4, ("v2", "1hat"): 3,
         ("v3", "1hat"): 3, ("v4", "1hat"): 4, ("v5", "1hat"): 3,
     })
+
+
+# A graded poset on 9 elements, with a recursive atom ordering, and a first
+# atom table that holds conditions (i) and (ii) although its chain order has a
+# cycle: 0hat a0 b1 c0 -> 0hat a0 b1 c1 -> 0hat a0 b2 c1 -> 0hat a0 b2 c0 ->
+# 0hat a1 b2 c0 -> 0hat a1 b1 c0 -> 0hat a0 b1 c0 (1hat dropped from each).
+# Kahn's algorithm places only 0hat a0 b0 c0 1hat, so 8 of the 9 chains are
+# on the cycle or after it.  Both are kept as the JSON a user would write.
+CYCLIC_ORDER_POSET = {
+    "elements": ["0hat", "a0", "a1", "b0", "b1", "b2", "c0", "c1", "1hat"],
+    "covers": [["0hat", "a0"], ["0hat", "a1"], ["a0", "b0"], ["a0", "b1"], ["a0", "b2"],
+               ["a1", "b1"], ["a1", "b2"], ["b0", "c0"], ["b1", "c0"], ["b1", "c1"],
+               ["b2", "c0"], ["b2", "c1"], ["c0", "1hat"], ["c1", "1hat"]],
+}
+CYCLIC_ORDER_RFAS = {"first_atoms": [
+    {"x": x, "y": y, "atom": atom} for x, y, atom in (
+        ("0hat", "b1", "a1"), ("0hat", "b2", "a0"), ("0hat", "c0", "a0"),
+        ("0hat", "c1", "a1"), ("0hat", "1hat", "a0"),
+        ("a0", "c0", "b0"), ("a0", "c1", "b1"), ("a0", "1hat", "b0"),
+        ("a1", "c0", "b2"), ("a1", "c1", "b1"), ("a1", "1hat", "b2"))
+] + [
+    {"root": ["0hat", a, b], "x": b, "y": "1hat", "atom": c} for a, b, c in (
+        ("a0", "b1", "c0"), ("a1", "b1", "c0"), ("a0", "b2", "c1"), ("a1", "b2", "c0"))
+]}
+
+
+def cyclic_order_case():
+    """The poset and first atom table above, loaded."""
+    p = poset_from_json(CYCLIC_ORDER_POSET)
+    return p, first_atom_set_from_json(p, CYCLIC_ORDER_RFAS)
 
 
 # -- fixtures ------------------------------------------------------------

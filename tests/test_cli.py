@@ -11,7 +11,13 @@ from shellab import cli
 from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
-from conftest import shuffled_boolean_lattice, string_root_case, tie_case
+from conftest import (
+    CYCLIC_ORDER_POSET,
+    CYCLIC_ORDER_RFAS,
+    shuffled_boolean_lattice,
+    string_root_case,
+    tie_case,
+)
 
 
 def test_check_cc_ok(capsys):
@@ -78,6 +84,33 @@ def test_rfas_check_and_lc(capsys):
     assert run(["rfas-check", "corpus:fig5-P", "corpus:fig5-P/C"]) == 1
     assert run(["lc-check", "corpus:fig8", "corpus:fig8/omega"]) == 1
     assert "none" in capsys.readouterr().out
+
+
+def test_a_cyclic_chain_order_fails_every_rfas_command(tmp_path, capsys):
+    # rfas-check used to accept this table, which rfas-shell and lc-check refuse
+    (tmp_path / "poset.json").write_text(json.dumps(CYCLIC_ORDER_POSET))
+    (tmp_path / "rfas.json").write_text(json.dumps(CYCLIC_ORDER_RFAS))
+    files = [str(tmp_path / "poset.json"), str(tmp_path / "rfas.json")]
+    assert run(["rfas-check", *files, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"rfas": False}
+    assert report["witnesses"]["rfas"] == [{"condition": "order", "direction": None,
+                                            "root": ["0hat"], "x": "0hat", "y": "1hat",
+                                            "atom": None}]
+    for command in ("rfas-shell", "lc-check"):
+        assert run([command, *files]) == 1
+        assert capsys.readouterr() == ("", "error: chain order has a cycle through 8 of 9 chains\n")
+
+
+def test_rfas_check_refuses_entries_that_disagree(tmp_path, capsys):
+    # a root-less and a rooted entry for the one rooted interval (0hat, 0hat, e)
+    path = tmp_path / "rfas.json"
+    path.write_text(json.dumps({"first_atoms": [
+        {"x": "0hat", "y": "e", "atom": "a"},
+        {"root": ["0hat"], "x": "0hat", "y": "e", "atom": "b"}]}))
+    assert run(["rfas-check", "corpus:fig8", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: first atom entries give (('0hat',), '0hat', 'e') two values, 'a' and 'b'\n")
 
 
 def test_rfas_from_tcl_and_shell(tmp_path, capsys):

@@ -6,6 +6,7 @@ from shellab import (
     AmbiguousOrderError,
     CELabeling,
     InvalidInputError,
+    InvalidIntervalError,
     InvalidRootError,
     MissingLabelError,
     build_poset,
@@ -17,6 +18,8 @@ from shellab import (
     labeling_to_json,
     lex_compare,
     lex_order_max_chains,
+    maximal_chains,
+    relabel_from_order,
 )
 from shellab.chains import root_trie
 
@@ -264,3 +267,9 @@ def test_chain_edge_root_must_be_a_list():
     for e in data["labels"]:
         e["root"] = list(e["root"])
     assert classify(labeling_from_json(p, data), p).is_cl
+
+
+def test_chain_edge_label_of_a_non_cover_is_an_interval_error(fig1):
+    lab = relabel_from_order(fig1.poset, maximal_chains(fig1.poset))  # chain-edge labels
+    with pytest.raises(InvalidIntervalError, match="is not a saturated chain"):
+        lab.label(("0hat",), "0hat", "c")

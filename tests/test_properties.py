@@ -37,7 +37,7 @@ from shellab import (
 )
 from shellab import corpus
 from shellab.chains import roots
-from shellab.errors import ShellabError
+from shellab.errors import NotAnRfasError, ShellabError
 from shellab.labeling import KINDS
 from conftest import (
     _canonical_paths,
@@ -341,6 +341,23 @@ def test_node_keyed_tables_match_literal_oracles(p, seed):
             dag = chain_order_dag(p, omega)
             assert dag == _chain_order_dag_literal(p, omega)
             assert shelling_from_rfas(p, omega) == next(linear_extensions(dag))
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6))
+def test_check_rfas_is_the_one_verdict_on_a_table(p, seed):
+    # a table check_rfas accepts has a chain order, and its first linear
+    # extension shells; a table it refuses has none
+    rng = random.Random(seed)
+    omega = FirstAtomSet.from_entries(p, {
+        (r, x, y): rng.choice(p.atoms_of(x, y)) for r, x, y in _rooted_intervals_literal(p)})
+    try:
+        chain_order_dag(p, omega)
+    except NotAnRfasError:
+        assert not check_rfas(p, omega).ok
+    else:
+        assert check_rfas(p, omega).ok
+        assert is_shelling(order_complex(p), shelling_from_rfas(p, omega)).ok
 
 
 @pytest.mark.parametrize("name", corpus.names())

@@ -2,6 +2,7 @@ import pytest
 
 from shellab import (
     CELabeling,
+    InvalidInputError,
     build_poset,
     classify,
     descent_set,
@@ -63,6 +64,9 @@ def test_sandwich_clause_fires(sandwich_poset):
 def test_order_must_be_permutation(two_chain_poset):
     with pytest.raises(ValueError):
         relabel_from_order(two_chain_poset, (("0hat", "a", "p", "1hat"),))
+    # the second chain skips the cover b < q
+    with pytest.raises(InvalidInputError, match="order must be a permutation"):
+        relabel_from_order(two_chain_poset, (("0hat", "a", "p", "1hat"), ("0hat", "b", "1hat")))
 
 
 def test_lex_order_of_ec_labeling_relabels_to_cc(fig2):

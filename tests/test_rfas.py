@@ -48,6 +48,7 @@ from conftest import (
     _check_rfas_literal,
     _rfas_from_tcl_rebuild,
     _sandwich_literal,
+    cyclic_order_case,
     shuffled_boolean_lattice,
     string_root_case,
     tie_case,
@@ -98,6 +99,11 @@ def test_pseudo_descents_of_the_empty_chain(fig8, root):
     # the error of a chain that does not start at bottom, not an IndexError
     with pytest.raises(ValueError, match="does not start at bottom"):
         pseudo_descents(fig8.first_atom_set("omega"), (), root=root)
+
+
+def test_pseudo_descents_of_a_chain_that_skips_a_cover(fig8):
+    with pytest.raises(InvalidIntervalError, match="is not a saturated chain"):
+        pseudo_descents(fig8.first_atom_set("omega"), ("0hat", "1hat"))
 
 
 # -- validation -----------------------------------------------------------
@@ -496,6 +502,24 @@ def test_cyclic_chain_order_is_not_an_rfas():
         dag.closure()
 
 
+def test_a_table_whose_chain_order_has_a_cycle_fails_only_the_order_condition():
+    # (i) and (ii) hold; check_rfas alone decides, for every use of the order
+    p, omega = cyclic_order_case()
+    report = check_rfas(p, omega)
+    message = "chain order has a cycle through 8 of 9 chains"
+    assert report.violations == [
+        RfasViolation("order", None, ("0hat",), "0hat", "1hat", None, message)]
+    assert report == _check_rfas_literal(p, omega)
+    chains = [m[:-1] for m in maximal_chains(p)]
+    cycle = [("0hat", "a0", "b1", "c0"), ("0hat", "a0", "b1", "c1"), ("0hat", "a0", "b2", "c1"),
+             ("0hat", "a0", "b2", "c0"), ("0hat", "a1", "b2", "c0"), ("0hat", "a1", "b1", "c0")]
+    for m, m2 in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (chains.index(m), chains.index(m2)) in report.edges
+    for use in (chain_order_dag, shelling_from_rfas, check_lc, compatible_labeling):
+        with pytest.raises(NotAnRfasError, match=f"^{message}$"):
+            use(p, omega)
+
+
 def test_is_antisymmetric_is_false_exactly_on_a_cycle():
     chains = (("0hat", "a", "1hat"), ("0hat", "b", "1hat"))
     assert not ChainOrderDag(chains, frozenset({(0, 1), (1, 0)})).is_antisymmetric()
@@ -543,3 +567,18 @@ def test_first_bad_entry_in_file_order_is_reported(fig1):
         FirstAtomSet.from_entries(fig1.poset, entries)
     with pytest.raises(MissingFirstAtomError, match="'1hat' is not an atom of"):
         FirstAtomSet.from_entries(fig1.poset, dict(reversed(entries.items())))
+
+
+def test_a_rooted_and_a_root_less_entry_must_agree(fig8):
+    # both entries name the rooted interval (0hat, 0hat, e)
+    entries = {(None, "0hat", "e"): "a", (("0hat",), "0hat", "e"): "b"}
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "first atom entries give (('0hat',), '0hat', 'e') two values, 'a' and 'b'")):
+        FirstAtomSet.from_entries(fig8.poset, entries)
+    same = FirstAtomSet.from_entries(fig8.poset, dict.fromkeys(entries, "a"))
+    assert same.first_atom(("0hat",), "0hat", "e") == "a"
+
+
+def test_first_atom_of_a_pair_that_is_no_interval(fig8):
+    with pytest.raises(InvalidIntervalError, match="rooted intervals require 'a' < 'b'"):
+        fig8.first_atom_set("omega").first_atom(("0hat", "a"), "a", "b")
