@@ -18,6 +18,10 @@ from .errors import BudgetExceededError, InvalidIntervalError, InvalidRootError
 from .poset import Poset
 
 DEFAULT_ROOTED_COVER_BUDGET = 10_000
+# the node budgets of the RAO search and of check_lc, kept here so that the
+# command line reads every default without importing those modules
+DEFAULT_SEARCH_BUDGET = 10 ** 6
+DEFAULT_LC_BUDGET = 10 ** 6
 
 
 class RootTrie:

@@ -8,15 +8,16 @@ when one fails or an input cannot be used, and 2 on usage errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
-from . import corpus
 from .chains import (
+    DEFAULT_LC_BUDGET,
     DEFAULT_ROOTED_COVER_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     ensure_budget,
     interval_chains,
     maximal_chains,
@@ -31,22 +32,15 @@ from .labeling import (
     lex_order_max_chains,
 )
 from .poset import load_json_object, load_poset, poset_from_json, to_dot
-from .rao import _Search, rao_pair_obstructions, DEFAULT_SEARCH_BUDGET
-from .relabel import relabel_from_order
-from .rfas import (
-    DEFAULT_LC_BUDGET,
-    check_lc,
-    check_rfas,
-    first_atom_set_from_json,
-    first_atom_set_to_json,
-    rfas_from_tcl,
-    shelling_from_rfas,
-)
-from .shelling import complex_from_json, is_shelling, order_complex
+
+# rao, relabel, rfas, shelling and corpus are imported by the subcommands
+# that use them: a `check` run loads none of them.
 
 
 def _resolve_poset(ref):
     if ref.startswith("corpus:"):
+        from . import corpus
+
         name = ref.split(":", 1)[1].split("/", 1)[0]
         return corpus.load_named(name).poset
     return load_poset(ref)
@@ -55,6 +49,8 @@ def _resolve_poset(ref):
 def _resolve_table(kind, from_json, poset, ref, budget):
     """A labeling or first atom set: ``corpus:NAME/KEY`` or a JSON file."""
     if ref.startswith("corpus:"):
+        from . import corpus
+
         name, _, key = ref.split(":", 1)[1].partition("/")
         example = corpus.load_named(name)
         tables = getattr(example, kind)
@@ -69,7 +65,12 @@ def _resolve_table(kind, from_json, poset, ref, budget):
 
 
 _resolve_labeling = partial(_resolve_table, "labelings", labeling_from_json)
-_resolve_first_atom_set = partial(_resolve_table, "first_atom_sets", first_atom_set_from_json)
+
+
+def _resolve_first_atom_set(poset, ref, budget):
+    from .rfas import first_atom_set_from_json
+
+    return _resolve_table("first_atom_sets", first_atom_set_from_json, poset, ref, budget)
 
 
 def _chain_str(chain):
@@ -139,13 +140,13 @@ class Report:
         return 0 if self.ok else 1
 
 
-def _add_common(parser):
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--max-rooted-covers", type=int,
-                        default=DEFAULT_ROOTED_COVER_BUDGET)
-    parser.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    parser.add_argument("--lc-budget", type=int, default=DEFAULT_LC_BUDGET)
-    parser.add_argument("--max-facets", type=int, default=9)
+def _read_tokens(path):
+    """The whitespace-separated tokens of each nonblank line of a text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [tokens for tokens in map(str.split, fh) if tokens]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not text ({exc})") from None
 
 
 def _cmd_chains(args, report):
@@ -175,19 +176,22 @@ def _cmd_check(args, report):
 
 
 def _cmd_relabel(args, report):
+    from .relabel import relabel_from_order
+
     poset = _resolve_poset(args.poset)
     if args.order_from_labeling:
         lab = _resolve_labeling(poset, args.order_from_labeling, args.max_rooted_covers)
         order = lex_order_max_chains(lab, poset, tie_break=True)
     else:
-        with open(args.order_file) as fh:
-            order = tuple(tuple(line.split()) for line in fh if line.strip())
+        order = tuple(map(tuple, _read_tokens(args.order_file)))
     report.product(labeling_to_json(relabel_from_order(poset, order, args.max_rooted_covers)))
     report.verdict("relabeled", True)
     report.timing("maximal_chains", len(order))
 
 
 def _cmd_rfas_check(args, report):
+    from .rfas import check_rfas
+
     poset = _resolve_poset(args.poset)
     omega = _resolve_first_atom_set(poset, args.rfas, args.max_rooted_covers)
     rep = check_rfas(poset, omega, literal_ii=args.rfas_ii_literal,
@@ -196,13 +200,17 @@ def _cmd_rfas_check(args, report):
     if not rep.ok:
         report.witness("rfas", [
             {"condition": v.condition, "direction": v.direction,
-             "root": list(v.root), "x": v.x, "y": v.y, "atom": v.atom}
+             "root": list(v.root), "x": v.x, "y": v.y, "atom": v.atom,
+             **({"detail": v.detail} if v.detail else {})}
             for v in rep.violations
         ])
     report.timing("rooted_covers", rooted_cover_count(poset))
 
 
 def _cmd_rfas_shell(args, report):
+    from .rfas import shelling_from_rfas
+    from .shelling import is_shelling, order_complex
+
     poset = _resolve_poset(args.poset)
     omega = _resolve_first_atom_set(poset, args.rfas, args.max_rooted_covers)
     order = shelling_from_rfas(poset, omega, args.max_rooted_covers)
@@ -215,6 +223,8 @@ def _cmd_rfas_shell(args, report):
 
 
 def _cmd_rfas_from_tcl(args, report):
+    from .rfas import first_atom_set_to_json, rfas_from_tcl
+
     poset = _resolve_poset(args.poset)
     lab = _resolve_labeling(poset, args.labeling, args.max_rooted_covers)
     report.product(first_atom_set_to_json(rfas_from_tcl(poset, lab, args.max_rooted_covers)))
@@ -223,6 +233,8 @@ def _cmd_rfas_from_tcl(args, report):
 
 
 def _cmd_lc_check(args, report):
+    from .rfas import check_lc
+
     poset = _resolve_poset(args.poset)
     omega = _resolve_first_atom_set(poset, args.rfas, args.max_rooted_covers)
     gamma = check_lc(poset, omega, args.lc_budget, args.max_rooted_covers)
@@ -238,6 +250,8 @@ def _cmd_lc_check(args, report):
 
 
 def _cmd_rao(args, report):
+    from .rao import _Search, rao_pair_obstructions
+
     poset = _resolve_poset(args.poset)
     if args.certificate:
         # the file has at most one entry per RootTrie node
@@ -264,11 +278,12 @@ def _read_facet_order(path, complex_):
     named = {str(v): v for v in complex_.vertices}
     if len(named) != len(complex_.vertices):
         raise InvalidInputError("an order file cannot name vertices that share a string form")
-    with open(path) as fh:
-        return [list(map(named.get, tokens, tokens)) for tokens in map(str.split, fh) if tokens]
+    return [list(map(named.get, tokens, tokens)) for tokens in _read_tokens(path)]
 
 
 def _cmd_shelling_verify(args, report):
+    from .shelling import complex_from_json, is_shelling, order_complex
+
     ref = args.complex_or_poset
     poset = None
     if ref.startswith("corpus:"):
@@ -296,6 +311,8 @@ def _cmd_shelling_verify(args, report):
 
 
 def _cmd_corpus(args, report):
+    from . import corpus
+
     if args.name:
         ex = corpus.load_named(args.name)
         report.product({
@@ -327,7 +344,7 @@ _POSET = _arg("poset")
 _OUT = _arg("--out", metavar="FILE")
 
 # name -> (help, function, arguments); a list of arguments is a required
-# mutually exclusive group.  Every subcommand also takes the _add_common flags.
+# mutually exclusive group.  Every subcommand also takes the _COMMON flags.
 _COMMANDS = {
     "chains": ("print maximal chains", _cmd_chains, [
         _POSET,
@@ -369,12 +386,21 @@ _COMMANDS = {
         _POSET, _OUT,
     ]),
 }
+_COMMON = [
+    _arg("--json", action="store_true", help="emit a JSON report"),
+    _arg("--max-rooted-covers", type=int, default=DEFAULT_ROOTED_COVER_BUDGET),
+    _arg("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET),
+    _arg("--lc-budget", type=int, default=DEFAULT_LC_BUDGET),
+    _arg("--max-facets", type=int, default=9),
+]
 
 
 def build_parser(command=None):
     """The parser of every subcommand, or of `command` alone.  Both print
     the same help and usage errors for `command`: alone, the usage line
     still lists every subcommand."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="shellab",
         description="Lexicographic shellability toolkit for finite bounded posets.",
@@ -384,7 +410,7 @@ def build_parser(command=None):
     for name in [command] if command else _COMMANDS:
         help_, _, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
-        for argument in arguments:
+        for argument in arguments + _COMMON:
             if isinstance(argument, list):
                 group = p.add_mutually_exclusive_group(required=True)
                 for names, options in argument:
@@ -392,16 +418,76 @@ def build_parser(command=None):
             else:
                 names, options = argument
                 p.add_argument(*names, **options)
-        _add_common(p)
     return top
 
 
+def _value(options, token):
+    """`token` as argparse stores it for an argument with `options`; a
+    ValueError where argparse would refuse it or might read it as a flag."""
+    if token.startswith("-"):
+        raise ValueError(token)
+    value = options.get("type", str)(token)
+    if "choices" in options and value not in options["choices"]:
+        raise ValueError(token)
+    return value
+
+
+def _read_argv(argv):
+    """The namespace of `build_parser().parse_args(argv)` as a dict, read off
+    `_COMMANDS` without argparse, when argv names a subcommand and gives its
+    known flags once each (`--flag value`) and its positionals; None for any
+    other argv (help, a usage error, an abbreviated or repeated flag,
+    `--flag=value`, `--`, a token or value that starts with '-'), which is
+    left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    groups = [a if isinstance(a, list) else [a] for a in _COMMANDS[argv[0]][2] + _COMMON]
+    arguments = [(names[0], names[0].lstrip("-").replace("-", "_"), options)
+                 for group in groups for names, options in group]
+    flags = {name: (dest, options) for name, dest, options in arguments if name[0] == "-"}
+    args = {dest: options.get("default", False if options.get("action") == "store_true" else None)
+            for _, dest, options in arguments}
+    args["subcommand"] = argv[0]
+    tokens, given, free = iter(argv[1:]), set(), []
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                free.append(token)
+                continue
+            if token not in flags or token in given:
+                return None
+            given.add(token)
+            dest, options = flags[token]
+            nargs = options.get("nargs")
+            if options.get("action") == "store_true":
+                args[dest] = True
+            elif nargs:
+                args[dest] = [_value(options, next(tokens)) for _ in range(nargs)]
+            else:
+                args[dest] = _value(options, next(tokens))
+        for name, dest, options in arguments:
+            if name[0] != "-" and (free or options.get("nargs") != "?"):
+                args[dest] = _value(options, free.pop(0))
+    except (ValueError, StopIteration, IndexError):
+        return None
+    for group in groups:
+        count = sum(names[0] in given for names, _ in group)
+        if count > 1 or not count and (len(group) > 1 or group[0][1].get("required")):
+            return None
+    return None if free else args
+
+
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute; returns exit code.
-    Only the named subcommand's parser is built; any other argv goes to the
-    full parser, which prints the usage or the error."""
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    """Read argv (without the program name) and execute; returns exit code.
+    An argv that `_read_argv` leaves to argparse is parsed by the named
+    subcommand's parser alone, or else by the full parser, which prints the
+    help, the usage or the error."""
+    args = _read_argv(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
+    else:
+        args = SimpleNamespace(**args)
     inputs = {
         k: v for k, v in sorted(vars(args).items())
         if k not in {"subcommand", "json"} and v is not None

@@ -280,11 +280,13 @@ def poset_from_json(data: dict) -> Poset:
 
 def load_json_object(path, error=InvalidInputError) -> dict:
     """The JSON object in the file at path; raises `error` if it holds none."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise error(f"{path}: not JSON ({exc})") from None
+        except RecursionError:
+            raise error(f"{path}: not JSON (arrays or objects nested too deeply)") from None
     if not isinstance(data, dict):
         raise error(f"{path}: not a JSON object")
     return data

@@ -9,11 +9,10 @@ two-atom prefix.
 
 from __future__ import annotations
 
+from .chains import DEFAULT_SEARCH_BUDGET
 from .errors import BudgetExceededError, MalformedCertificateError
 from .poset import Poset
 from .shelling import _orderings
-
-DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 
 class RaoTree:

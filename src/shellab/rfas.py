@@ -17,6 +17,7 @@ from itertools import accumulate, count, product
 
 from ._record import Record
 from .chains import (
+    DEFAULT_LC_BUDGET,
     DEFAULT_ROOTED_COVER_BUDGET,
     check_interval,
     maximal_chains,
@@ -40,8 +41,6 @@ from .labeling import CELabeling, _Intervals
 from .poset import Poset, build_poset, load_json_object
 from .relabel import relabel_from_order
 from .shelling import _orderings
-
-DEFAULT_LC_BUDGET = 10 ** 6
 
 
 class FirstAtomSet:

@@ -1,10 +1,14 @@
 import argparse
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shellab
 from shellab import cli
@@ -18,6 +22,7 @@ from conftest import (
     string_root_case,
     tie_case,
 )
+from test_readme import _command_lines
 
 
 def test_check_cc_ok(capsys):
@@ -86,6 +91,9 @@ def test_rfas_check_and_lc(capsys):
     assert "none" in capsys.readouterr().out
 
 
+_CYCLE = "chain order has a cycle through 8 of 9 chains"
+
+
 def test_a_cyclic_chain_order_fails_every_rfas_command(tmp_path, capsys):
     # rfas-check used to accept this table, which rfas-shell and lc-check refuse
     (tmp_path / "poset.json").write_text(json.dumps(CYCLIC_ORDER_POSET))
@@ -96,10 +104,10 @@ def test_a_cyclic_chain_order_fails_every_rfas_command(tmp_path, capsys):
     assert report["verdicts"] == {"rfas": False}
     assert report["witnesses"]["rfas"] == [{"condition": "order", "direction": None,
                                             "root": ["0hat"], "x": "0hat", "y": "1hat",
-                                            "atom": None}]
+                                            "atom": None, "detail": _CYCLE}]
     for command in ("rfas-shell", "lc-check"):
         assert run([command, *files]) == 1
-        assert capsys.readouterr() == ("", "error: chain order has a cycle through 8 of 9 chains\n")
+        assert capsys.readouterr() == ("", f"error: {_CYCLE}\n")
 
 
 def test_rfas_check_refuses_entries_that_disagree(tmp_path, capsys):
@@ -257,16 +265,26 @@ _FIRST_ATOM_ENTRY = {"root": ["0hat"], "x": "0hat", "y": "1hat", "atom": "a"}
      "labeling entries give ('0hat', 'a') two values"),
     (["check", "--kind", "cc", "corpus:fig1", "{path}"], _fig1_labeling_plus_repeat("middle", 1),
      "labeling entries give (('0hat',), '0hat', 'a') two values"),
+    (["chains", "{path}"], b"\xff\xfe{}", "input.json: not JSON ('utf-8' codec can't decode"),
+    (["shelling-verify", "corpus:fig1", "--order-file", "{path}"], b"\xff\xfe0hat a 1hat\n",
+     "input.json: not text ('utf-8' codec can't decode"),
+    (["relabel", "corpus:fig1", "--order-file", "{path}"], b"\xff\xfe0hat a 1hat\n",
+     "input.json: not text ('utf-8' codec can't decode"),
+    (["rfas-check", "corpus:fig1", "{path}"], "[" * 100000 + "]" * 100000,
+     "input.json: not JSON (arrays or objects nested too deeply)"),
 ], ids=["labeling-without-labels", "first-atoms-not-json", "missing-file",
         "first-atoms-not-an-object", "order-not-a-permutation", "first-atom-root-not-a-chain",
         "first-atom-root-of-another-element", "chain-edge-root-not-a-chain",
         "edge-label-for-a-non-cover", "edge-label-not-an-integer", "chain-edge-label-not-an-integer",
         "facets-mixing-strings-and-numbers", "chain-order-not-a-permutation",
         "first-atom-contradictory-repeat", "edge-label-contradictory-repeat",
-        "chain-edge-label-contradictory-repeat"])
+        "chain-edge-label-contradictory-repeat", "poset-not-utf-8", "facet-order-not-utf-8",
+        "chain-order-not-utf-8", "first-atoms-nested-too-deeply"])
 def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     assert run([a.replace("{path}", str(path)) for a in argv]) == 1
     err = capsys.readouterr().err
@@ -323,7 +341,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_ast():
     # inspect and ast alone once cost about 13 ms per process, and
     # importlib.resources pulls in inspect and ast on Python 3.12+.  -S skips
     # site-packages, whose .pth hooks may preload any of these modules.
-    heavy = ("dataclasses", "inspect", "ast", "importlib.resources", "random")
+    heavy = ("dataclasses", "inspect", "ast", "importlib.resources", "random",
+             "argparse", "gettext", "locale")
     probe = "import sys{}; print(' '.join(m for m in {!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
 
@@ -333,6 +352,25 @@ def test_cli_import_loads_no_dataclasses_inspect_or_ast():
         return set(out.split())
 
     assert loaded(", shellab.cli") <= loaded("")
+
+
+def test_check_run_loads_only_the_modules_it_uses(tmp_path):
+    # argv read off the command table leaves argparse unloaded, and a check
+    # of files (not corpus: references) needs no search, table or corpus
+    example = load_named("fig2-P")
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(example.poset)))
+    lab = shellab.labeling_to_json(example.labeling("bold"))
+    (tmp_path / "lab.json").write_text(json.dumps(lab))
+    probe = ("import sys; from shellab.cli import run; "
+             "code = run(['check', '--kind', 'cc', 'poset.json', 'lab.json', '--json']); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('shellab') "
+             "or m in ('argparse', 'gettext', 'locale')))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1].split() == [
+        "0", "shellab", "shellab._record", "shellab.chains", "shellab.cli", "shellab.errors",
+        "shellab.labeling", "shellab.poset"]
 
 
 def test_export_dot(tmp_path):
@@ -441,11 +479,101 @@ def _subparsers_made(monkeypatch):
 
 def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
     made = _subparsers_made(monkeypatch)
-    assert run(["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold"]) == 0
+    argv = ["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold"]
+    # a canonical argv is read off the command table, without a parser
+    assert run(argv) == 0
+    assert made == []
+    # help and an abbreviated flag are left to the named subcommand's parser
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--help"])
+    assert exc.value.code == 0 and made == ["check"]
+    made.clear()
+    assert run(["check", "--ki", *argv[2:]]) == 0
     assert made == ["check"]
     made.clear()
     build_parser()
     assert len(made) == 11 and made == list(cli._COMMANDS)
+
+
+# values that argparse refuses or reads as flags, and the empty string
+_BAD_WORDS = ("zz", "x", "-3", "--", "-h", "--help", "--json", "")
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one subcommand: mostly a valid one (each argument of its
+    table given, with values it accepts, in any order, with one member of
+    each required group), but some arguments left out or given twice, some
+    values bad, and sometimes extra `--flag=value` forms, abbreviations or
+    words."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    rarely = st.integers(0, 7).map(lambda n: n == 0)
+    pieces, flags = [], []
+    for entry in cli._COMMANDS[command][2] + cli._COMMON:
+        group = entry if isinstance(entry, list) else [entry]
+        chosen = draw(st.permutations(group))[:1 + draw(rarely)]
+        flags += [names[0] for names, _ in group if names[0][0] == "-"]
+        for (name, *_), options in chosen:
+            if draw(rarely):
+                continue
+            good = (st.sampled_from(options["choices"]) if "choices" in options
+                    else st.integers(0, 10 ** 6).map(str) if "type" in options
+                    else st.sampled_from(["p.json", "a b", "1hat", "7"]))
+            nargs = options.get("nargs")
+            values = [draw(st.sampled_from(_BAD_WORDS) if draw(rarely) else good)
+                      for _ in range(0 if options.get("action") else
+                                     nargs if isinstance(nargs, int) else 1)]
+            pieces.append(values if name[0] != "-" else [name, *values])
+    word = st.sampled_from(("p.json", "7") + _BAD_WORDS)
+    noise = st.one_of(
+        st.sampled_from(pieces) if pieces else word.map(lambda w: [w]),
+        st.tuples(st.sampled_from(flags), word).map(lambda fw: ["=".join(fw)]),
+        st.sampled_from(flags).flatmap(
+            lambda f: st.integers(3, len(f) - 1).map(lambda k: [f[:k]])),
+        word.map(lambda w: [w]),
+    )
+    if draw(st.booleans()):
+        pieces += draw(st.lists(noise, min_size=1, max_size=2))
+    return [command, *(t for piece in draw(st.permutations(pieces)) for t in piece)]
+
+
+_FULL_PARSER = build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_read_argv_gives_the_argparse_namespace_or_none(argv):
+    read = cli._read_argv(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(_FULL_PARSER.parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or read == parsed
+
+
+def _benchmark_argvs():
+    """Every op argv of perfbench/workloads.py, as perfbench/run.py passes it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolves annotations there
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for op in [*(op for g in workloads.op_groups(name) for op in g),
+                   *workloads.KNOWN_FAILURES[name]]:
+            yield [f"inputs/{op.family}.{a[1:]}" if a[0] in "@%" else a for a in op.args] + [
+                *workloads.BUDGET_FLAGS, "--json"]
+    yield ["corpus", "--json"]  # the warm-up and start-up op
+
+
+def test_benchmark_and_readme_argvs_are_read_without_argparse():
+    argvs = [*_benchmark_argvs(), *(argv for _, argv, _ in _command_lines())]
+    assert len(argvs) > 100
+    for argv in argvs:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert read == vars(_FULL_PARSER.parse_args(argv))
 
 
 def _subparser(parser, name):
