@@ -40,7 +40,8 @@ class RootTrie:
     nodes_of has the elements of [x, y] only.
     """
 
-    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_upset", "_chains", "_index")
+    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_up", "_pos", "_upset", "_forks",
+                 "_chains", "_index")
 
     def __init__(self, poset: Poset, x=None, y=None):
         # preorder DFS: children are pushed reversed so they pop in order
@@ -72,12 +73,35 @@ class RootTrie:
         self.depth = depth
         self.end = [v + s for v, s in enumerate(size)]
         self.nodes_of = nodes_of
+        self._up, self._pos = poset.up, poset.index  # not the poset, which holds the trie
         self._upset = upset
+        self._forks = None
         self._chains = None
         self._index = None
 
     def __len__(self):
         return len(self.elem)
+
+    @property
+    def forks(self) -> dict:
+        """forks[e] holds, as dict keys in canonical order, the elements above
+        two distinct covers of e: the y whose interval [e, y] has two or more
+        atoms.  Every other interval [e, y] has one atom, whatever the root
+        of e.  Built on first use, since only first-atom tables read it."""
+        if self._forks is None:
+            upset, have = self._upset, self.nodes_of
+            self._forks = dict.fromkeys(have, {})  # one shared empty dict: a chain has no forks
+            for e in have:
+                ws = [w for w in self._up[e] if w in have]
+                if len(ws) < 2:
+                    continue
+                seen, twice = set(), set()
+                for w in ws:
+                    twice |= seen & upset[w]
+                    seen |= upset[w]
+                self._forks[e] = dict.fromkeys(sorted(twice.intersection(have),
+                                                      key=self._pos.__getitem__))
+        return self._forks
 
     def children(self, v):
         """Child nodes of v, in canonical order of their elements."""
@@ -119,6 +143,14 @@ class RootTrie:
                 out.append(c)
             c = end[c]
         return out
+
+    def first_below(self, g, y):
+        """The first child of g whose element is at most y, which must exist:
+        the canonically least atom of [elem[g], y]."""
+        elem, end, upset, c = self.elem, self.end, self._upset, g + 1
+        while y not in upset[elem[c]]:
+            c = end[c]
+        return c
 
     def resolve(self, root, chain) -> list:
         """The one place a tuple root becomes a node: the nodes of root and

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 
 from .._record import Record
 from ..errors import UnknownNameError
 from ..labeling import CELabeling, labeling_from_json
 from ..poset import Poset, poset_from_json
-from ..rfas import FirstAtomSet, first_atom_set_from_json
 
 NAMES = ("fig1", "fig2-P", "fig3-Q", "fig5-P", "fig5-Q", "fig8")
 
@@ -34,8 +34,30 @@ class NamedExample(Record):
     def labeling(self, key) -> CELabeling:
         return self.labelings[key]
 
-    def first_atom_set(self, key) -> FirstAtomSet:
+    def first_atom_set(self, key):
         return self.first_atom_sets[key]
+
+
+class _FirstAtomSets(Mapping):
+    """An example's first-atom tables by key.  Each is parsed on first
+    access, so that an example read for its poset or a labeling does not
+    import the rfas module."""
+
+    def __init__(self, poset: Poset, specs: dict):
+        self._poset, self._specs, self._parsed = poset, specs, {}
+
+    def __getitem__(self, key):
+        if key not in self._parsed:
+            from ..rfas import first_atom_set_from_json
+
+            self._parsed[key] = first_atom_set_from_json(self._poset, self._specs[key])
+        return self._parsed[key]
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
 
 
 def names() -> tuple:
@@ -63,15 +85,11 @@ def load_named(name: str) -> NamedExample:
         key: labeling_from_json(poset, spec)
         for key, spec in data.get("labelings", {}).items()
     }
-    first_atom_sets = {
-        key: first_atom_set_from_json(poset, spec)
-        for key, spec in data.get("first_atom_sets", {}).items()
-    }
     return NamedExample(
         name=name,
         poset=poset,
         labelings=labelings,
-        first_atom_sets=first_atom_sets,
+        first_atom_sets=_FirstAtomSets(poset, data.get("first_atom_sets", {})),
         expected=data.get("expected", {}),
         comment=data.get("comment", ""),
     )

@@ -13,7 +13,7 @@ characterizes when some chain-edge labeling is compatible with the table.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, count, product
+from itertools import accumulate, count
 
 from ._record import Record
 from .chains import (
@@ -22,8 +22,6 @@ from .chains import (
     check_interval,
     maximal_chains,
     root_trie,
-    rooted_interval_nodes,
-    strictly_above,
 )
 from .errors import (
     BudgetExceededError,
@@ -47,15 +45,19 @@ class FirstAtomSet:
     """Total map from rooted intervals (r, x, y), x < y, to an atom of [x, y].
 
     table maps (g, y) to the child node of g whose element is the designated
-    atom, where g is the RootTrie node of the root r of x.  Entries omitted
-    at construction are auto-filled: a unique atom is forced, and with
-    default="leftmost" the canonically least atom is used elsewhere.
+    atom, where g is the RootTrie node of the root r of x.  It holds only
+    the rooted intervals with a choice, those whose [x, y] has two or more
+    atoms (y in trie.forks[x]); the one atom of any other interval is looked
+    up when asked for, and keys of such intervals given to the constructor
+    are dropped.  Entries omitted at construction are auto-filled: with
+    default="leftmost" the canonically least atom is used.
     """
 
     def __init__(self, poset: Poset, table):
         self.poset = poset
-        self.trie = root_trie(poset, None)
-        self.table = table
+        self.trie = trie = root_trie(poset, None)
+        elem, forks = trie.elem, trie.forks
+        self.table = {(g, y): c for (g, y), c in table.items() if y in forks[elem[g]]}
 
     @classmethod
     def from_entries(cls, poset: Poset, entries=(), default="leftmost",
@@ -67,8 +69,9 @@ class FirstAtomSet:
         first bad one is reported: InvalidRootError for a root that is not a
         root of x, InvalidIntervalError unless x < y, MissingFirstAtomError for
         a root-less x with several roots or an atom not an atom of [x, y],
-        InvalidInputError for a second atom of one rooted interval.  Other
-        rooted intervals get their only atom, or by default="leftmost" the least.
+        InvalidInputError for a second atom of one rooted interval.  An entry
+        for an interval with one atom is checked so, and then dropped.  Other
+        rooted intervals with a choice get by default="leftmost" the least atom.
         """
         trie, table = root_trie(poset, budget), {}
         for (r, x, y), atom in dict(entries).items():
@@ -85,31 +88,44 @@ class FirstAtomSet:
             if table.setdefault((gs[0], y), c) != c:  # a rooted and a root-less entry
                 raise InvalidInputError(f"first atom entries give {(trie.chain(gs[0]), x, y)!r} "
                                         f"two values, {trie.elem[table[(gs[0], y)]]!r} and {atom!r}")
-        for g, x, y in rooted_interval_nodes(poset, trie):
+        for g, x, y in _choice_nodes(poset, trie):
             if (g, y) not in table:
-                atoms = trie.below(g, y)
-                if len(atoms) > 1 and default != "leftmost":
+                if default != "leftmost":
                     raise MissingFirstAtomError(
                         f"no entry for rooted interval ({trie.chain(g)!r}, {x!r}, {y!r})")
-                table[(g, y)] = atoms[0]  # the canonically least atom
+                table[(g, y)] = trie.first_below(g, y)
         return cls(poset, table)
 
+    def atom(self, g, y):
+        """The designated atom of [elem[g], y] rooted at node g, as a child
+        node of g; y must lie strictly above elem[g]."""
+        return self.table.get((g, y)) or self.trie.first_below(g, y)  # a child is never node 0
+
     def first_atom(self, root, x, y):
-        key = (self.trie.resolve(root, (x,))[0], y)
-        if key not in self.table:
+        g = self.trie.resolve(root, (x,))[0]
+        if not self.poset.lt(x, y):
             raise InvalidIntervalError(f"rooted intervals require {x!r} < {y!r}")
-        return self.trie.elem[self.table[key]]
+        return self.trie.elem[self.atom(g, y)]
+
+
+def _choice_nodes(poset: Poset, trie):
+    """(g, x, y) per rooted interval whose [x, y] has two or more atoms, in
+    the canonical order of rooted_interval_nodes."""
+    forks = trie.forks
+    for x in poset.elements:
+        for g in trie.nodes_of[x]:
+            for y in forks[x]:
+                yield g, x, y
 
 
 def first_atom_chain(omega: FirstAtomSet, root, x, y) -> tuple:
     """The chain from x to y that follows designated first atoms upward."""
     check_interval(omega.poset, x, y)
-    trie, table = omega.trie, omega.table
-    g = trie.resolve(root, (x,))[0]
+    g = omega.trie.resolve(root, (x,))[0]
     chain = [x]
     while chain[-1] != y:
-        g = table[(g, y)]
-        chain.append(trie.elem[g])
+        g = omega.atom(g, y)
+        chain.append(omega.trie.elem[g])
     return tuple(chain)
 
 
@@ -121,7 +137,7 @@ def pseudo_descents(omega: FirstAtomSet, chain, root=None):
         raise ValueError("chain does not start at bottom; pass its root")
     nodes = omega.trie.resolve((chain[0],) if root is None else root, chain)
     return [(chain[i], chain[i + 1], chain[i + 2]) for i in range(len(chain) - 2)
-            if omega.table[(nodes[i], chain[i + 2])] != nodes[i + 1]]
+            if omega.atom(nodes[i], chain[i + 2]) != nodes[i + 1]]
 
 
 class RfasViolation(Record):
@@ -140,10 +156,12 @@ class RfasViolation(Record):
 class RfasReport(Record):
     _fields = ("ok", "violations", "edges")
 
-    def __init__(self, ok, violations=None, edges=frozenset()):
+    def __init__(self, ok, violations=None, edges=frozenset(), order=None):
         self.ok = ok
         self.violations = [] if violations is None else violations
         self.edges = edges  # the chain order, as ChainOrderDag.edges
+        # the first linear extension of the edges, as chain indices; None unless ok
+        self.order = order
 
     def __bool__(self):
         return self.ok
@@ -154,65 +172,69 @@ def check_rfas(poset: Poset, omega: FirstAtomSet, literal_ii: bool = False,
     """Validate the three first atom set conditions; one walk also builds the chain order.
 
     (i) and (ii) are read off one map on the atoms of a rooted interval
-    [x, y] that y does not cover: atom a steps to the designated atom of
-    [x, b], where b is the designated atom of [a, y] rooted at a.
+    [x, y] with two or more atoms: atom a steps to the designated atom of
+    [x, b], where b is the designated atom of [a, y] rooted at a.  (An
+    interval with one atom would step it to itself and order no chains, so
+    it is not walked.)
     (i) The designated atom of [x, y] is the step's only fixed point: it
     fails "forward" when that atom steps elsewhere, "backward" when another
     atom steps to itself.  (ii) The orbit of every other atom reaches the
     designated atom.  With literal_ii=True the orbit is cut after one step,
     as when each capped interval keeps the previous atom's root, which is
     never a valid root (kept for auditability).  ("order") When (i) and
-    (ii) hold, the chain order has no cycle.  Its edges, report.edges, put
-    each chain through x < c < y, c not designated in [x, y], after the
-    chain that takes the first atom chain of [x, y] there instead.
+    (ii) hold, the chain order has no cycle, and report.order is its first
+    linear extension; else the violation names one cycle.  Its edges,
+    report.edges, put each chain through x < c < y, c not designated in
+    [x, y], after the chain that takes the first atom chain of [x, y] there
+    instead.
     """
     trie = root_trie(poset, budget)
-    elem, end, table = trie.elem, trie.end, omega.table
+    elem, end, table, atom = trie.elem, trie.end, omega.table, omega.atom
     # a subtree's maximal chains (leaves) are a run: rank[v] of them precede v
     rank = list(accumulate((e == poset.top for e in elem), initial=0))
     violations, edges = [], []
-    for x in poset.elements:  # [x, y] with y covering x has one atom, stepping nowhere
-        far = [y for y in strictly_above(poset, x) if y not in poset.up[x]]
-        for g, y in product(trie.nodes_of[x], far):
-            first = table[(g, y)]
-            atoms = trie.below(g, y)
-            step, f = {}, first
-            for c in atoms:
-                b = elem[k := table[(c, y)]]
-                step[c] = table[(g, b)]
-                if (c == first) != (step[c] == c):
-                    a = elem[c]
-                    heads, misses = (y, b) if c == first else (b, y)
-                    violations.append(RfasViolation(
-                        "i", "forward" if c == first else "backward", trie.chain(g), x, y, a,
-                        f"{a!r} heads [{x!r},{heads!r}] but not [{x!r},{misses!r}]"))
-                if b == y and c != first:
-                    # the replacements of the chains through k pass node f, the end of
-                    # the first atom chain, whose subtree is numbered like that of k
-                    while elem[f] != y:
-                        f = table[(f, y)]
-                    edges += zip(count(rank[f]), range(rank[k], rank[end[k]]))
-            for c in atoms:
-                if c == first:
-                    continue
-                seen, a = set(), step[c]
-                while not (a == first or a in seen or literal_ii):
-                    seen.add(a)
-                    a = step[a]
-                if a != first:
-                    violations.append(RfasViolation(
-                        "ii", None, trie.chain(g), x, y, elem[c],
-                        f"no first-atom walk from {elem[c]!r} back to {elem[first]!r}"))
+    for g, x, y in _choice_nodes(poset, trie):
+        first = table[(g, y)]
+        atoms = trie.below(g, y)
+        step, f = {}, first
+        for c in atoms:
+            b = elem[k := atom(c, y)]
+            step[c] = table.get((g, b), c)  # c is an atom of [x, b], the only one if none is stored
+            if (c == first) != (step[c] == c):
+                a = elem[c]
+                heads, misses = (y, b) if c == first else (b, y)
+                violations.append(RfasViolation(
+                    "i", "forward" if c == first else "backward", trie.chain(g), x, y, a,
+                    f"{a!r} heads [{x!r},{heads!r}] but not [{x!r},{misses!r}]"))
+            if b == y and c != first:
+                # the replacements of the chains through k pass node f, the end of
+                # the first atom chain, whose subtree is numbered like that of k
+                while elem[f] != y:
+                    f = atom(f, y)
+                edges += zip(count(rank[f]), range(rank[k], rank[end[k]]))
+        for c in atoms:
+            if c == first:
+                continue
+            seen, a = set(), step[c]
+            while not (a == first or a in seen or literal_ii):
+                seen.add(a)
+                a = step[a]
+            if a != first:
+                violations.append(RfasViolation(
+                    "ii", None, trie.chain(g), x, y, elem[c],
+                    f"no first-atom walk from {elem[c]!r} back to {elem[first]!r}"))
+    order = None
     if not violations:
         succ = [[] for _ in range(rank[-1])]
         for i, j in edges:
             succ[i].append(j)
-        try:
-            _topo_indices(len(succ), succ)
-        except NotAnRfasError as exc:
+        order = _topo_indices(succ)
+        if len(order) < len(succ):
+            leaves = trie.nodes_of[poset.top]
             violations.append(RfasViolation(
-                "order", None, (poset.bottom,), poset.bottom, poset.top, None, str(exc)))
-    return RfasReport(not violations, violations, frozenset(edges))
+                "order", None, (poset.bottom,), poset.bottom, poset.top, None,
+                _cycle_message(succ, order, lambda i: trie.chain(leaves[i]))))
+    return RfasReport(not violations, violations, frozenset(edges), None if violations else order)
 
 
 class ChainOrderDag(Record):
@@ -233,7 +255,10 @@ class ChainOrderDag(Record):
         if self._closure is None:
             succ = self.succ
             reach = [None] * len(succ)
-            for i in reversed(_topo_indices(len(succ), succ)):
+            order = _topo_indices(succ)
+            if len(order) < len(succ):
+                raise NotAnRfasError(_cycle_message(succ, order, self.chains.__getitem__))
+            for i in reversed(order):
                 r = {i}
                 for j in succ[i]:
                     r |= reach[j]
@@ -246,11 +271,7 @@ class ChainOrderDag(Record):
 
     def is_antisymmetric(self) -> bool:
         """False exactly when the edges between distinct chains have a cycle."""
-        try:
-            _topo_indices(len(self.succ), [s - {i} for i, s in enumerate(self.succ)])
-        except NotAnRfasError:
-            return False
-        return True
+        return len(_topo_indices([s - {i} for i, s in enumerate(self.succ)])) == len(self.succ)
 
     @cached_property
     def succ(self):
@@ -268,17 +289,18 @@ class ChainOrderDag(Record):
         preds = [set() for _ in self.chains]
         for i, j in self.edges:
             preds[j].add(i)
-        _topo_indices(len(preds), preds)  # a cycle reversed is still a cycle
         return preds
 
     def minimal_indices(self):
         return [i for i, p in enumerate(self.preds) if not p]
 
 
-def _topo_indices(n, succ):
-    """The topological order that always takes the least ready index."""
+def _topo_indices(succ):
+    """The topological order that always takes the least ready index.  On a
+    cycle it stops short: the indices left out lie on a cycle or after one."""
     import heapq  # here, so that importing the CLI does not load it
 
+    n = len(succ)
     indeg = [0] * n
     for i in range(n):
         for j in succ[i]:
@@ -292,10 +314,26 @@ def _topo_indices(n, succ):
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    if len(order) != n:
-        raise NotAnRfasError(
-            f"chain order has a cycle through {n - len(order)} of {n} chains")
     return order
+
+
+def _cycle_message(succ, order, chain):
+    """Name one cycle among the indices that the topological order left out.
+
+    Each of them keeps a predecessor left out (its in-degree never reached
+    0), so stepping from the least one to its least such predecessor
+    repeats an index.  The cycle is named in edge order from its least
+    index, chain(i) giving chain i."""
+    left = sorted(set(range(len(succ))).difference(order), reverse=True)
+    pred = {j: i for i in left for j in succ[i]}  # the least, written last
+    path = [left[-1]]
+    while pred[path[-1]] not in path:
+        path.append(pred[path[-1]])
+    cycle = path[path.index(pred[path[-1]]):][::-1]
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k + 1]
+    return (f"chain order has a cycle through {len(left)} of {len(succ)} chains; "
+            f"one cycle: {' < '.join(repr(chain(i)) for i in cycle)}")
 
 
 def chain_order_dag(poset: Poset, omega: FirstAtomSet,
@@ -303,12 +341,17 @@ def chain_order_dag(poset: Poset, omega: FirstAtomSet,
     """Directed graph on maximal chains: m -> m' when m' has a pseudo descent
     whose replacement by the first atom chain yields m.  The edges are those
     check_rfas builds; raises NotAnRfasError unless it accepts the table."""
+    return ChainOrderDag(maximal_chains(poset), _accepted(poset, omega, budget).edges)
+
+
+def _accepted(poset, omega, budget) -> RfasReport:
+    """check_rfas's report; raises NotAnRfasError unless it accepts the table."""
     report = check_rfas(poset, omega, budget=budget)
     if not report.ok:
         v = report.violations  # an "order" violation comes alone
         raise NotAnRfasError(v[0].detail if v[0].condition == "order" else
                              f"{len(v)} violations; not an RFAS")
-    return ChainOrderDag(maximal_chains(poset), report.edges)
+    return report
 
 
 def linear_extensions(dag: ChainOrderDag):
@@ -322,8 +365,8 @@ def shelling_from_rfas(poset: Poset, omega: FirstAtomSet,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET):
     """First linear extension of the chain order, a shelling order: always
     the least-index chain whose predecessors are placed, found without search."""
-    dag = chain_order_dag(poset, omega, budget)
-    return tuple(dag.chains[i] for i in _topo_indices(len(dag.succ), dag.succ))
+    order, chains = _accepted(poset, omega, budget).order, maximal_chains(poset)
+    return tuple(chains[i] for i in order)
 
 
 def check_lc(poset: Poset, omega: FirstAtomSet,
@@ -402,9 +445,9 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
     trie = root_trie(poset, budget)
     dp, least = _Intervals(lab, poset, trie), {}
     dp.passes(least=least)
-    at, table = dp.at, omega.table
-    return all(at[table[(g, y)]] in least[(at[g], y)]
-               for g, _, y in rooted_interval_nodes(poset, trie))
+    # the one atom of any other interval heads all of its chains
+    at = dp.at
+    return all(at[c] in least[(at[g], y)] for (g, y), c in omega.table.items())
 
 
 def compatible_labeling(poset: Poset, omega: FirstAtomSet,
@@ -441,7 +484,7 @@ def rfas_from_tcl(poset: Poset, lab: CELabeling,
             f"{y!r}) has {len(dp.chains('tcl', v, y))} topologically ascending chains")
     at, elem = dp.at, dp.elem
     omega = FirstAtomSet(poset, {(g, y): trie.child(g, elem[atoms[(at[g], y)]])
-                                 for g, _, y in rooted_interval_nodes(poset, trie)})
+                                 for g, _, y in _choice_nodes(poset, trie)})
     violations = check_rfas(poset, omega, budget=budget).violations
     if violations:
         raise NotAnRfasError(f"the ascending chains' atoms are not an RFAS: {violations[0]!r}")
@@ -461,19 +504,18 @@ def restrict_first_atom_set(poset: Poset, omega: FirstAtomSet, root, x, y):
     for s in range(1, len(sub_trie)):
         big.append(trie.child(big[sub_trie.parent[s]], sub_trie.elem[s]))
     return sub, FirstAtomSet(sub, {
-        (s, v): sub_trie.child(s, trie.elem[omega.table[(big[s], v)]])
-        for s, _, v in rooted_interval_nodes(sub, sub_trie)})
+        (s, v): sub_trie.child(s, trie.elem[omega.atom(big[s], v)])
+        for s, _, v in _choice_nodes(sub, sub_trie)})
 
 
 # -- serialization -----------------------------------------------------
 
 def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
-    # rooted intervals come in (x, root, y) order, as the entries are listed
-    poset, trie = omega.poset, omega.trie
+    # rooted intervals with a choice come in (x, root, y) order, as the entries are listed
+    trie = omega.trie
     entries = [
         {"root": list(trie.chain(g)), "x": x, "y": y, "atom": trie.elem[omega.table[(g, y)]]}
-        for g, x, y in rooted_interval_nodes(poset, trie)
-        if len(trie.below(g, y)) > 1
+        for g, x, y in _choice_nodes(omega.poset, trie)
     ]
     return {"first_atoms": entries, "default": "leftmost"}
 

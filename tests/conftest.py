@@ -7,6 +7,7 @@ permutation, and labelings are classified by quantifying over tuple roots
 and label sequences literally.
 """
 
+import ast
 import random
 from itertools import permutations
 
@@ -26,6 +27,7 @@ from shellab import (
 from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET, root_trie, rooted_interval_nodes
 from shellab.errors import (
     AmbiguousOrderError,
+    InvalidInputError,
     InvalidIntervalError,
     InvalidRootError,
     MissingFirstAtomError,
@@ -378,8 +380,9 @@ def _rooted_intervals_literal(poset):
 def _first_atom_fill_literal(poset, entries, default="leftmost"):
     """FirstAtomSet.from_entries on tuple roots: {(r, x, y): atom} for every
     rooted interval.  The entries are checked in order and the first bad one
-    raises; then the first rooted interval that no entry names, has several
-    atoms and gets no default raises."""
+    raises, a second atom for a rooted interval named before included; then
+    the first rooted interval that no entry names, has several atoms and
+    gets no default raises."""
     intervals = list(_rooted_intervals_literal(poset))
     named = {}
     for (r, x, y), atom in dict(entries).items():
@@ -394,7 +397,8 @@ def _first_atom_fill_literal(poset, entries, default="leftmost"):
             raise MissingFirstAtomError(f"{x!r} has {len(rs)} roots")
         if atom not in poset.atoms_of(x, y):
             raise MissingFirstAtomError(f"{atom!r} is not an atom of [{x!r}, {y!r}]")
-        named[(rs[0], x, y)] = atom
+        if named.setdefault((rs[0], x, y), atom) != atom:  # a rooted and a root-less entry
+            raise InvalidInputError(f"first atom entries give {(rs[0], x, y)!r} two values")
     table = {}
     for r, x, y in intervals:
         atoms = sorted(poset.atoms_of(x, y), key=poset.index.__getitem__)
@@ -471,10 +475,29 @@ def _check_rfas_literal(poset, omega, literal_ii=False):
     stuck = () if violations else _cycle_reach_literal(len(dag.chains), dag.edges)
     if stuck:
         bottom, top = poset.bottom, poset.top
+        cycle = " < ".join(repr(dag.chains[i]) for i in _cycle_literal(dag.edges, stuck))
         violations.append(RfasViolation(
             "order", None, (bottom,), bottom, top, None,
-            f"chain order has a cycle through {len(stuck)} of {len(dag.chains)} chains"))
+            f"chain order has a cycle through {len(stuck)} of {len(dag.chains)} chains; "
+            f"one cycle: {cycle}"))
     return RfasReport(not violations, violations, dag.edges)
+
+
+def _named_cycle(detail):
+    """The chains that an "order" violation's detail names, in order."""
+    return [ast.literal_eval(m) for m in detail.split("; one cycle: ")[1].split(" < ")]
+
+
+def _cycle_literal(edges, stuck):
+    """The cycle check_rfas names: from the least stuck chain, step to the
+    least stuck chain with an edge into the last one until a chain repeats;
+    that cycle in edge order, from its least chain back to it."""
+    walk = [min(stuck)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(min(i for i, j in edges if j == walk[-1] and i in stuck))
+    cycle = walk[walk.index(walk[-1]):-1][::-1]
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k + 1]
 
 
 def _cycle_reach_literal(n, edges):

@@ -18,6 +18,9 @@ from shellab.corpus import load_named
 from conftest import (
     CYCLIC_ORDER_POSET,
     CYCLIC_ORDER_RFAS,
+    _chain_order_dag_literal,
+    _named_cycle,
+    cyclic_order_case,
     shuffled_boolean_lattice,
     string_root_case,
     tie_case,
@@ -91,7 +94,11 @@ def test_rfas_check_and_lc(capsys):
     assert "none" in capsys.readouterr().out
 
 
-_CYCLE = "chain order has a cycle through 8 of 9 chains"
+_CYCLE = ("chain order has a cycle through 8 of 9 chains; one cycle: "
+          "('0hat', 'a0', 'b1', 'c0', '1hat') < ('0hat', 'a0', 'b1', 'c1', '1hat') < "
+          "('0hat', 'a0', 'b2', 'c1', '1hat') < ('0hat', 'a0', 'b2', 'c0', '1hat') < "
+          "('0hat', 'a1', 'b2', 'c0', '1hat') < ('0hat', 'a1', 'b1', 'c0', '1hat') < "
+          "('0hat', 'a0', 'b1', 'c0', '1hat')")
 
 
 def test_a_cyclic_chain_order_fails_every_rfas_command(tmp_path, capsys):
@@ -108,6 +115,12 @@ def test_a_cyclic_chain_order_fails_every_rfas_command(tmp_path, capsys):
     for command in ("rfas-shell", "lc-check"):
         assert run([command, *files]) == 1
         assert capsys.readouterr() == ("", f"error: {_CYCLE}\n")
+    # the named cycle is closed, and each step is an edge of the literal chain order
+    named = _named_cycle(_CYCLE)
+    assert named[0] == named[-1] and len(set(named)) == len(named) - 1
+    dag = _chain_order_dag_literal(*cyclic_order_case())
+    for m, m2 in zip(named, named[1:]):
+        assert (dag.index(m), dag.index(m2)) in dag.edges
 
 
 def test_rfas_check_refuses_entries_that_disagree(tmp_path, capsys):
@@ -371,6 +384,20 @@ def test_check_run_loads_only_the_modules_it_uses(tmp_path):
     assert out.splitlines()[-1].split() == [
         "0", "shellab", "shellab._record", "shellab.chains", "shellab.cli", "shellab.errors",
         "shellab.labeling", "shellab.poset"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "cc", "corpus:fig2-P", "corpus:fig2-P/bold"], ["corpus", "--json"]])
+def test_corpus_references_parse_no_first_atom_table(argv):
+    # a corpus example parses its first-atom tables only when one is asked for
+    probe = ("import sys; from shellab.cli import run; "
+             f"code = run({argv!r}); "
+             "print(code, *(m for m in ('shellab.rfas', 'shellab.relabel', 'shellab.shelling') "
+             "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shellab.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0"
 
 
 def test_export_dot(tmp_path):

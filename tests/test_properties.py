@@ -37,7 +37,7 @@ from shellab import (
 )
 from shellab import corpus
 from shellab.chains import roots
-from shellab.errors import NotAnRfasError, ShellabError
+from shellab.errors import MissingFirstAtomError, NotAnRfasError, ShellabError
 from shellab.labeling import KINDS
 from conftest import (
     _canonical_paths,
@@ -316,6 +316,35 @@ def test_from_entries_matches_literal_fill(p, seed, default):
         return {(r, x, y): omega.first_atom(r, x, y) for r, x, y in intervals}
 
     assert outcome(fill) == outcome(lambda: _first_atom_fill_literal(p, entries, default))
+
+
+@SETTINGS
+@given(posets, st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["leftmost", None]))
+def test_tables_hold_only_the_intervals_with_a_choice(p, seed, default):
+    # valid entries for a random subset of rooted intervals, those with one
+    # atom included; half the time every interval with a choice is named, so
+    # that default=None builds too
+    rng = random.Random(seed)
+    intervals = list(_rooted_intervals_literal(p))
+    choice = {(r, x, y) for r, x, y in intervals if len(p.atoms_of(x, y)) > 1}
+    every = rng.random() < 0.5
+    entries = {(r, x, y): rng.choice(p.atoms_of(x, y)) for r, x, y in intervals
+               if every and (r, x, y) in choice or rng.random() < 0.3}
+    try:
+        omega = FirstAtomSet.from_entries(p, entries, default)
+    except MissingFirstAtomError:
+        with pytest.raises(MissingFirstAtomError):
+            _first_atom_fill_literal(p, entries, default)
+        return
+    literal = _first_atom_fill_literal(p, entries, default)
+    assert {k: omega.first_atom(*k) for k in intervals} == literal
+    trie = omega.trie
+    assert {(trie.chain(g), trie.elem[g], y) for g, y in omega.table} == choice
+    # a dense table given to the constructor keeps the same entries
+    dense = {(trie.resolve(r, (x,))[0], y): trie.resolve(r, (x, a))[1]
+             for (r, x, y), a in literal.items()}
+    assert FirstAtomSet(p, dense).table == omega.table
+    assert check_rfas(p, omega) == _check_rfas_literal(p, omega)
 
 
 @SETTINGS

@@ -45,7 +45,9 @@ from shellab.poset import load_poset
 from shellab.rfas import RfasReport, RfasViolation, load_first_atom_set
 from conftest import (
     _check_lc_literal,
+    _chain_order_dag_literal,
     _check_rfas_literal,
+    _named_cycle,
     _rfas_from_tcl_rebuild,
     _sandwich_literal,
     cyclic_order_case,
@@ -506,17 +508,23 @@ def test_a_table_whose_chain_order_has_a_cycle_fails_only_the_order_condition():
     # (i) and (ii) hold; check_rfas alone decides, for every use of the order
     p, omega = cyclic_order_case()
     report = check_rfas(p, omega)
-    message = "chain order has a cycle through 8 of 9 chains"
-    assert report.violations == [
-        RfasViolation("order", None, ("0hat",), "0hat", "1hat", None, message)]
+    [v] = report.violations
+    assert v == RfasViolation("order", None, ("0hat",), "0hat", "1hat", None, v.detail)
+    assert v.detail.startswith("chain order has a cycle through 8 of 9 chains; one cycle: ")
     assert report == _check_rfas_literal(p, omega)
     chains = [m[:-1] for m in maximal_chains(p)]
     cycle = [("0hat", "a0", "b1", "c0"), ("0hat", "a0", "b1", "c1"), ("0hat", "a0", "b2", "c1"),
              ("0hat", "a0", "b2", "c0"), ("0hat", "a1", "b2", "c0"), ("0hat", "a1", "b1", "c0")]
     for m, m2 in zip(cycle, cycle[1:] + cycle[:1]):
         assert (chains.index(m), chains.index(m2)) in report.edges
+    # the message names that cycle, closed, and each step is an edge of the literal order
+    named = _named_cycle(v.detail)
+    assert [m[:-1] for m in named] == cycle + cycle[:1]
+    literal = _chain_order_dag_literal(p, omega)
+    for m, m2 in zip(named, named[1:]):
+        assert (literal.index(m), literal.index(m2)) in literal.edges
     for use in (chain_order_dag, shelling_from_rfas, check_lc, compatible_labeling):
-        with pytest.raises(NotAnRfasError, match=f"^{message}$"):
+        with pytest.raises(NotAnRfasError, match=f"^{re.escape(v.detail)}$"):
             use(p, omega)
 
 
@@ -577,6 +585,38 @@ def test_a_rooted_and_a_root_less_entry_must_agree(fig8):
         FirstAtomSet.from_entries(fig8.poset, entries)
     same = FirstAtomSet.from_entries(fig8.poset, dict.fromkeys(entries, "a"))
     assert same.first_atom(("0hat",), "0hat", "e") == "a"
+
+
+def test_entries_for_intervals_with_one_atom_are_checked_then_dropped(fig8):
+    # [a, r] has the one atom d, and [g, 1hat] the one atom k under either
+    # root of g; [0hat, e] has two atoms
+    p = fig8.poset
+    forced = {(None, "a", "r"): "d", (("0hat", "a"), "a", "r"): "d",
+              (("0hat", "b", "g"), "g", "1hat"): "k"}
+    omega = FirstAtomSet.from_entries(p, {**forced, (None, "0hat", "e"): "b"})
+    assert omega.table == FirstAtomSet.from_entries(p, {(None, "0hat", "e"): "b"}).table
+    assert omega.first_atom(("0hat", "a"), "a", "r") == "d"
+    assert omega.first_atom(("0hat", "c", "g"), "g", "1hat") == "k"
+    with pytest.raises(MissingFirstAtomError, match=re.escape("'e' is not an atom of ['a', 'r']")):
+        FirstAtomSet.from_entries(p, {**forced, (("0hat", "a"), "a", "r"): "e"})
+    with pytest.raises(MissingFirstAtomError, match="'g' has 2 roots"):
+        FirstAtomSet.from_entries(p, {(None, "g", "1hat"): "k"})
+    with pytest.raises(InvalidInputError, match="two values, 'a' and 'b'"):
+        FirstAtomSet.from_entries(p, {**forced, (None, "0hat", "e"): "a",
+                                      (("0hat",), "0hat", "e"): "b"})
+
+
+def test_a_long_chain_has_an_empty_table():
+    # 1000 elements, 499,500 rooted intervals, each with one atom: none is
+    # stored, and check_rfas walks none of them
+    names = [f"v{i}" for i in range(1000)]
+    p = build_poset(names, list(zip(names, names[1:])))
+    omega = FirstAtomSet.from_entries(p)
+    assert omega.table == {}
+    assert omega.first_atom(("v0",), "v0", "v999") == "v1"
+    report = check_rfas(p, omega)
+    assert report.ok and report.edges == frozenset() and report.order == [0]
+    assert first_atom_set_to_json(omega) == {"first_atoms": [], "default": "leftmost"}
 
 
 def test_first_atom_of_a_pair_that_is_no_interval(fig8):
