@@ -9,6 +9,9 @@ prefix precedes its extensions).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import itemgetter, or_
+
 from ._record import Record
 from .chains import (
     DEFAULT_ROOTED_COVER_BUDGET,
@@ -250,16 +253,16 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     return report
 
 
-def _lex_cmp(s, t) -> int:
-    """Dictionary order of two nested label sequences (label, rest), with ()
-    the empty one: -1, 0 or 1.  A loop, where tuple comparison would recurse
-    once per common label."""
-    while s is not t:
-        if not (s and t):
-            return bool(s) - bool(t)
-        if s[0] != t[0]:
-            return -1 if s[0] < t[0] else 1
-        s, t = s[1], t[1]
+def _cmp(a, b, nxa, lxa, nxb, lxb) -> int:
+    """Dictionary order of the label sequences from nodes a and b, read along
+    next nodes nxa, nxb and labels lxa, lxb up to a next of None: -1, 0 or 1."""
+    while a != b or nxa is not nxb:  # else the tails are one sequence
+        na, nb = nxa[a], nxb[b]
+        if na is None or nb is None:
+            return (na is not None) - (nb is not None)
+        if lxa[a] != lxb[b]:
+            return -1 if lxa[a] < lxb[b] else 1
+        a, b = na, nb
     return 0
 
 
@@ -267,7 +270,8 @@ class _Intervals:
     """A labeling decided interval by interval by DP over covers.
 
     The DP runs over integer nodes, each with its labeled covers up[v]
-    (node, label), its element elem[v], and rank[v], its place in canonical
+    (node, label), which a pass sorts by label (ties stay in canonical
+    order), its element elem[v], and rank[v], its place in canonical
     (x, root) order; ranked lists the nodes in that order, and nodes_of[e]
     those of element e.
     This is the one place that picks the nodes.  For a root-independent
@@ -281,9 +285,11 @@ class _Intervals:
     One pass per top y, in a linear extension, walks the nodes below y from
     the top and keeps for each of them, v:
 
-    - lo[v] (hi[v]): the dictionary-least (-greatest) label sequence from v
-      to y as nested pairs (label, rest) ending in (), which compare like
-      the flat sequences and share their tails;
+    - nx[v], lx[v]: the cover that starts the dictionary-least label
+      sequence lo(v, y) from v to y (None at y) and the label into it; two
+      such sequences are compared by walking these pointers, only once
+      their first labels tie; hx, hl likewise for the greatest, where
+      self-consistency asks for it;
     - per CL or TCL, a row: (w, λ(v, w), the number of chains from v to y
       that start with w and rise at every cover pair, up to 2) per cover
       v < w <= y with such a chain.
@@ -363,113 +369,131 @@ class _Intervals:
             failed["sc"] = witness
         return failed
 
-    def passes(self, checks=(), atoms=None, least=None):
-        """The first failing (rank of v, index of y) of "tcl" and "cl" as
-        far as checks asks, and for "sc", per node v and atom pair
-        (a, b): cand, the first y where a heads the least chains of [v, y]
-        and b is an atom too, and late, the first y' where a chain through a
-        does not precede every chain through b.  A dict atoms gets, per
-        [v, y] with one ascending chain, (v, y) -> the atom it starts with,
-        and a dict least, per [v, y], (v, y) -> the atoms that head its
-        least chains.  With neither "tcl" nor "cl" checked, every y is
-        passed, so asc holds the ascent atom of every interval.
+    def passes(self, checks=(), atoms=None, designated=None, bases=None):
+        """The first failing (rank of v, index of y) of "tcl", "cl" and,
+        with designated, "atom", as far as checks asks; and for "sc", per
+        node v, cand: atom a -> the y where a heads the least chains of
+        [v, y], and late: pair (a, b) of equal labels -> the y' where a
+        chain through a does not precede every chain through b, both as
+        bitmasks over element indices.  At each [v, y] with two or more
+        atoms, a dict atoms gets (v, y) -> the atom of its one ascending
+        chain, and "atom" fails unless the nodes designated(v, y) head least
+        chains.  A dict bases, top y -> the x whose [x, y] are asked for,
+        limits the passes to those; with no check, asc then holds their ascent atoms.
         """
-        sc = "sc" in checks
         poset, elem, nodes_of, up, asc = self.poset, self.elem, self.nodes_of, self.up, self.asc
-        rank, order, index, upset = self.rank, self.order, poset.index, poset._upset
-        n = len(rank)
+        rank, order, index = self.rank, self.order, poset.index
+        n, place = len(rank), {e: t for t, e in enumerate(order)}
+        # under[t] (over[t]): the places in order of the elements below (at or
+        # above) order[t], as a bitmask; low[t]: the least rank of a node below it
+        under, low = [0] * len(order), [n] * len(order)
+        for t, y in enumerate(order):
+            for s in map(place.__getitem__, poset.down[y]):
+                under[t] |= under[s] | 1 << s
+                low[t] = min(low[t], low[s], rank[nodes_of[order[s]][0]])
         # settle[t]: the least (rank of v, index of y) of the intervals
         # [v, y] with y in order[t:]; the first node of an element ranks least
-        low = {}
-        for y in order:
-            low[y] = min((min(rank[nodes_of[d][0]], low[d]) for d in poset.down[y]), default=n)
-        settle = [(n, n)] * (len(order) + 1)
+        settle, over = [(n, n)] * (len(order) + 1), [0] * len(order)
         for t in range(len(order) - 1, -1, -1):
-            settle[t] = min(settle[t + 1], (low[order[t]], index[order[t]]))
-        pending = [k for k in ("tcl", "cl") if k in checks]
-        first = {}
-        cand = [{} for _ in rank] if sc else None
-        late = [{} for _ in rank] if sc else None
+            settle[t] = min(settle[t + 1], (low[t], index[order[t]]))
+            if bases is not None:
+                over[t] = reduce(or_, (over[place[w]] for w in poset.up[order[t]]), 1 << t)
+        pending = [k for k in ("tcl", "cl") if k in checks] + ["atom"] * (designated is not None)
+        first, cand, late, unsorted = {}, {}, {}, [True] * len(order)
+        # self-consistency can fail only at a node two of whose covers have one label
+        dup = {v for v, ws in enumerate(up) if len({lbl for _, lbl in ws}) < len(ws)} \
+            if "sc" in checks else ()
 
-        keep = sc or least is not None
         for t, y in enumerate(order):
             live = [k for k in pending if k not in first or first[k] >= settle[t]]
             if pending and not live:
                 break
-            yi = index[y]
-            lo = dict.fromkeys(nodes_of[y], ())
-            hi, rising = dict(lo), {}
+            m = under[t]  # the elements below y, or those in an [x, y] asked for
+            if bases is not None:
+                m &= reduce(or_, (over[place[x]] for x in bases.get(y, ())), 0)
+            yi, bit = index[y], 1 << index[y]
+            # per node: the cover that starts the least label sequence to y
+            # (None at y) and the label into it; hx, hl the same for the greatest
+            nx, lx = dict.fromkeys(nodes_of[y]), {}
+            hx, hl, rising = dict(nx) if dup else None, {}, {}
             # per live kind: whether its rule is CL's, and node -> row
-            rows, bad = [(k, k == "cl", {}) for k in live], dict.fromkeys(live, n)
-            # the nodes of one element are incomparable, so this walks the
-            # nodes below y from the top
-            for v in (v for e in reversed(order[:t]) if y in upset[e] for v in nodes_of[e]):
-                best, top, ties, covs, keys = None, None, False, [], []
-                for w, lbl in up[v]:
-                    rest = lo.get(w)
-                    if rest is None:
-                        continue
-                    key = (lbl, rest)
-                    covs.append((w, lbl))
-                    if best is None:
-                        w0, best = w, key
-                    else:
-                        c = _lex_cmp(key, best)
-                        if c < 0:
-                            w0, best, ties = w, key, False
-                        elif c == 0:
-                            ties = True
-                    if keep:
-                        keys.append((w, lbl, key))
-                    if sc:
-                        high = (lbl, hi[w])
-                        if top is None or _lex_cmp(high, top) > 0:
-                            top = high
-                lo[v] = best
-                if not ties and best[1] and not best[1][1]:  # y covers w0
-                    asc[v][y] = w0
-                av = asc[v]
-                for k, cl, below in rows:  # the row of v, without the covers of count 0
-                    row, count = [], 0
-                    for w, lbl in covs:
-                        c = 1
-                        if w in below:  # w is below y
-                            c = 0
-                            for z, lz, cz in below[w]:
-                                if (lbl < lz) if cl else (av.get(elem[z]) == w):
-                                    c += cz
-                            if not c:
-                                continue
-                            if c > 2:
-                                c = 2
-                        row.append((w, lbl, c))
-                        count += c
-                    below[v] = row
-                    if cl:  # CL also asks the least chain to rise
-                        rising[v] = not best[1] or (rising[w0] and best[0] < best[1][0])
-                    elif count == 1 and atoms is not None:
-                        atoms[(v, y)] = row[0][0]
-                    if (count != 1 or cl and not rising[v]) and rank[v] < bad[k]:
-                        bad[k] = rank[v]
-                if keep:
-                    heads = [w for w, _, key in keys if _lex_cmp(key, best) == 0] if ties else [w0]
-                    if least is not None:
-                        least[(v, y)] = heads
-                if sc:
-                    hi[v] = top
-                    if len(keys) > 1:
-                        cv, lv = cand[v], late[v]
-                        for a, la, _ in keys:
-                            leads, hi_a = a in heads, (la, hi[a])
-                            for b, lb, lo_b in keys:
-                                if b == a:
+            rows = [(k, k == "cl", {}) for k in live if k != "atom"]
+            bad = dict.fromkeys(live, n)
+            atom = "atom" in bad
+            while m:  # from the top; the nodes of one element are incomparable
+                s = m.bit_length() - 1
+                m ^= 1 << s
+                if unsorted[s]:  # first walked: its nodes' covers by label
+                    unsorted[s] = False
+                    for v in nodes_of[order[s]]:
+                        up[v].sort(key=itemgetter(1))
+                for v in nodes_of[order[s]]:
+                    covs = up[v]  # a single cover is below y
+                    if len(covs) > 1:
+                        covs = []
+                        for c in up[v]:
+                            if c[0] in nx:
+                                covs.append(c)
+                    w0, l0 = covs[0]
+                    ties = len(covs) > 1 and covs[1][1] == l0
+                    if ties:  # the first labels tie: walk on
+                        ties = False
+                        for w, lbl in covs[1:]:
+                            if lbl != l0:
+                                break
+                            c = _cmp(w, w0, nx, lx, nx, lx)
+                            if c < 0:
+                                w0, ties = w, False
+                            elif c == 0:
+                                ties = True
+                    nx[v], lx[v] = w0, l0
+                    d = nx[w0]
+                    if not ties and d is not None and nx[d] is None:  # y covers w0
+                        asc[v][y] = w0
+                    av = asc[v]
+                    for k, cl, below in rows:  # the row of v, without the covers of count 0
+                        row, count = [], 0
+                        for w, lbl in covs:
+                            c = 1
+                            if w in below:  # w is below y
+                                c = 0
+                                for z, lz, cz in below[w]:
+                                    if (lbl < lz) if cl else (av.get(elem[z]) == w):
+                                        c += cz
+                                if not c:
                                     continue
-                                pair = (a, b)
-                                if leads and cv.get(pair, n) > yi:
-                                    cv[pair] = yi
-                                if (la > lb or la == lb and _lex_cmp(hi_a, lo_b) >= 0) \
-                                        and lv.get(pair, n) > yi:
-                                    lv[pair] = yi
+                                if c > 2:
+                                    c = 2
+                            row.append((w, lbl, c))
+                            count += c
+                        below[v] = row
+                        if cl:  # CL also asks the least chain to rise
+                            rising[v] = d is None or (rising[w0] and l0 < lx[w0])
+                        elif count == 1 and atoms is not None and len(covs) > 1:
+                            atoms[(v, y)] = row[0][0]
+                        if (count != 1 or cl and not rising[v]) and rank[v] < bad[k]:
+                            bad[k] = rank[v]
+                    if dup:
+                        top, h0 = covs[-1]
+                        for w, lbl in covs:
+                            if lbl == h0 and _cmp(w, top, hx, hl, hx, hl) > 0:
+                                top = w
+                        hx[v], hl[v] = top, h0
+                    if len(covs) < 2 or not (atom or v in dup):
+                        continue
+                    heads = (w0,) if not ties else [
+                        w for w, lbl in covs if lbl == l0 and _cmp(w, w0, nx, lx, nx, lx) == 0]
+                    if atom and rank[v] < bad["atom"] and any(
+                            a not in heads for a in designated(v, y)):
+                        bad["atom"] = rank[v]
+                    if v in dup:
+                        cv, lv = cand.setdefault(v, {}), late.setdefault(v, {})
+                        for a in heads:
+                            cv[a] = cv.get(a, 0) | bit
+                        for a, la in covs:
+                            for b, lb in covs:
+                                if a != b and la == lb and _cmp(a, b, hx, hl, nx, lx) >= 0:
+                                    lv[(a, b)] = lv.get((a, b), 0) | bit
             for k, r in bad.items():
                 if r < n and (r, yi) < first.get(k, (n, n)):
                     first[k] = (r, yi)
@@ -479,61 +503,74 @@ class _Intervals:
         """The first (rank of v, index of y) where two chains of [v, y] have
         label sequences one a prefix of (or equal to) the other, or None.
 
-        Such chains part at a fork u >= v and go on with equal labels until
-        one is at y and the other at some b <= y.  From each fork the nodes
-        reached by one label sequence are walked together as a state, each
-        with its number of chains up to 2, while they hold two chains."""
-        elem, up, index, upset = self.elem, self.up, self.poset.index, self.poset._upset
-        bad = {}
-        for u in range(len(up)):
-            stack, seen, mask = [{u: 1}], set(), 0
-            while stack:
-                steps = {}  # label -> the next state
-                for p, m in stack.pop().items():
-                    for w, lbl in up[p]:
-                        state = steps.setdefault(lbl, {})
-                        state[w] = min(2, state.get(w, 0) + m)
-                for state in steps.values():
-                    if len(state) == 1 and 2 not in state.values():
-                        continue  # one chain
-                    key = frozenset(state.items())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    stack.append(state)
-                    chains = {}  # element -> the chains of the state that end there
-                    for w, m in state.items():
-                        chains[elem[w]] = chains.get(elem[w], 0) + m
-                    for y, c in chains.items():
-                        if c > 1 or any(y in upset[b] for b in chains if b != y):
-                            mask |= 1 << index[y]
-            if mask:
-                bad[u] = mask
-        if not bad:
+        Such chains part at a fork u >= v, where two covers share a label,
+        and go on with equal labels until one is at y and the other at some
+        b <= y.  From each fork the nodes reached by one label sequence are
+        walked together as a state, each with its number of chains up to 2,
+        while they hold two chains.  Per v in canonical order the forks above
+        it not walked yet are walked; a state is walked once, and only while
+        it can reach a y of lower index than the least failing y found."""
+        poset, elem, up = self.poset, self.elem, self.up
+        index, upset = poset.index, poset._upset
+        tied = {u for u, ws in enumerate(up) if len({lbl for _, lbl in ws}) < len(ws)}
+        if not tied:
             return None
-        fails = {}  # v -> the bad y of every fork at or above v
-        for e in reversed(self.order):
-            for v in self.nodes_of[e]:
-                fails[v] = bad.get(v, 0)
-                for w, _ in up[v]:
-                    fails[v] |= fails[w]
-        v = next(v for v in self.ranked if fails[v])
-        return self.rank[v], (fails[v] & -fails[v]).bit_length() - 1
+        least = {e: min(map(index.__getitem__, upset[e])) for e in poset.elements}
+        seen, done, n = set(), set(), len(index)
+        for v in self.ranked:
+            best, forks = n, [v]
+            while forks:
+                u = forks.pop()
+                if u in done:
+                    continue
+                done.add(u)
+                forks += [w for w, _ in up[u]]
+                stack = [{u: 1}] if u in tied and least[elem[u]] < best else []
+                while stack:
+                    steps = {}  # label -> the next state
+                    for p, m in stack.pop().items():
+                        for w, lbl in up[p]:
+                            state = steps.setdefault(lbl, {})
+                            state[w] = min(2, state.get(w, 0) + m)
+                    for state in steps.values():
+                        if len(state) == 1 and 2 not in state.values():
+                            continue  # one chain
+                        key = frozenset(state.items())
+                        if key in seen or min(least[elem[w]] for w in state) >= best:
+                            continue
+                        seen.add(key)
+                        stack.append(state)
+                        chains = {}  # element -> the chains of the state that end there
+                        for w, m in state.items():
+                            chains[elem[w]] = chains.get(elem[w], 0) + m
+                        for y, c in chains.items():
+                            if index[y] < best and (
+                                    c > 1 or any(y in upset[b] for b in chains if b != y)):
+                                best = index[y]
+            if best < n:  # the forks above v were all walked, or could not go lower
+                return self.rank[v], best
+        return None
 
     def inconsistency(self, cand, late):
         """The first place where a TCL-labeling is not self-consistent, or
         None: the first v, then the first y, a and b in canonical order,
         where a heads the least chains of [v, y] and a chain through a does
-        not precede every chain through its sibling b in some [v, y']."""
+        not precede every chain through its sibling b in some [v, y'].
+        Such atoms have equal labels: if λ(v, a) < λ(v, b) every chain
+        through a precedes every chain through b, and if λ(v, a) > λ(v, b)
+        a heads no least chains of an [v, y] that holds b."""
         elements, index, elem = self.poset.elements, self.poset.index, self.elem
-        for v in self.ranked:
-            hits = [(yi, index[elem[a]], index[elem[b]], a, b)
-                    for (a, b), yi in cand[v].items() if (a, b) in late[v]]
+        for v in sorted(late, key=self.rank.__getitem__):
+            hits = []
+            for (a, b), ys2 in late[v].items():  # ys: where b is an atom too
+                ys = cand[v].get(a, 0) & sum(1 << index[z] for z in self.poset._upset[elem[b]])
+                if ys:
+                    hits.append((ys & -ys, index[elem[a]], index[elem[b]], ys2 & -ys2))
             if hits:
-                yi, _, _, a, b = min(hits)
-                return {"root": self.root(v), "x": elem[v], "y": elements[yi],
-                        "y2": elements[late[v][(a, b)]],
-                        "atom_first": elem[a], "atom_other": elem[b]}
+                y, ai, bi, y2 = min(hits)
+                return {"root": self.root(v), "x": elem[v], "y": elements[y.bit_length() - 1],
+                        "y2": elements[y2.bit_length() - 1],
+                        "atom_first": elements[ai], "atom_other": elements[bi]}
         return None
 
     def ascends(self, u, v, w) -> bool:
@@ -574,7 +611,7 @@ class _Intervals:
                 found.append((seq, tuple(map(elem.__getitem__, nodes))))
                 continue
             stack.extend((nodes + (w,), seq + (lbl,))
-                         for w, lbl in reversed(up[nodes[-1]]) if y in upset[elem[w]])
+                         for w, lbl in sorted(up[nodes[-1]], reverse=True) if y in upset[elem[w]])
         return tuple(sorted(found)) if kind == "cc" else tuple(c for _, c in found)
 
 
@@ -584,7 +621,8 @@ def descent_set(lab: CELabeling, poset: Poset,
     descents; the complement over the same domain are the ascents."""
     trie = root_trie(poset, budget)
     dp = _Intervals(lab, poset, trie)
-    dp.passes()
+    down = poset.down  # u < v < w covers: the intervals [u, w] of length two
+    dp.passes(bases={w: [u for v in down[w] for u in down[v]] for w in poset.elements})
     at, elem, parent, depth, chain = dp.at, trie.elem, trie.parent, trie.depth, trie.chain
     return frozenset((chain(parent[h]), elem[parent[h]], elem[h], elem[k])
                      for k, h in enumerate(parent)

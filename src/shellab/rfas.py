@@ -443,11 +443,13 @@ def is_compatible(lab: CELabeling, omega: FirstAtomSet, poset: Poset,
     """True iff in every rooted interval the designated first atom lies on a
     maximal chain attaining the dictionary-least label sequence."""
     trie = root_trie(poset, budget)
-    dp, least = _Intervals(lab, poset, trie), {}
-    dp.passes(least=least)
-    # the one atom of any other interval heads all of its chains
-    at = dp.at
-    return all(at[c] in least[(at[g], y)] for (g, y), c in omega.table.items())
+    dp = _Intervals(lab, poset, trie)
+    at, roots = dp.at, trie.nodes_of
+
+    def designated(v, y):  # called at each [v, y] with a choice
+        gs = (v,) if dp.trie is not None else roots[dp.elem[v]]  # an element serves its roots
+        return [at[omega.atom(g, y)] for g in gs]
+    return "atom" not in dp.passes(designated=designated)[0]
 
 
 def compatible_labeling(poset: Poset, omega: FirstAtomSet,

@@ -389,7 +389,7 @@ def descending_chains(poset: Poset, lab: CELabeling, x, y, root=None):
     else:
         g, = trie.resolve(root, (x,))
     dp = _Intervals(lab, poset, trie)
-    dp.passes()
+    dp.passes(bases=dict.fromkeys(poset.interval(x, y), (x,)))
     return list(dp.chains("descending", dp.at[g], y))
 
 

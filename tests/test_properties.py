@@ -59,6 +59,7 @@ from conftest import (
     brute_rooted_covers,
     shelling_orders_by_exhaustion,
     shuffled_boolean_lattice,
+    shuffled_boolean_lattice,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -281,6 +282,37 @@ def test_self_consistency_witness_matches_literal_oracle(seed, n):
     rep = classify(lab, p, kinds={"tcl", "self-consistent"})
     assert rep.is_tcl and not rep.is_self_consistent
     assert rep == _classify_literal(lab, p, {"tcl", "self-consistent"})
+    # only two atoms with one label can fail it, the pairs compared per y
+    w = rep.witnesses["self-consistent"]
+    assert lab.label(w["root"], w["x"], w["atom_first"]) == lab.label(
+        w["root"], w["x"], w["atom_other"])
+
+
+def test_root_dependent_self_consistency_witness_matches_literal_oracle():
+    # a chain-edge labeling decided on the RootTrie's nodes, whose witness
+    # lies below a root other than (0hat,) and has y != y'
+    p = random_bounded_poset(218, 8, 0.5)
+    rng = random.Random(218)
+    lab = CELabeling.from_chain_table(p, {rc: rng.randint(1, 3) for rc in brute_rooted_covers(p)})
+    rep = classify(lab, p, kinds={"tcl", "self-consistent"})
+    assert not lab.is_root_independent() and rep.is_tcl and not rep.is_self_consistent
+    w = rep.witnesses["self-consistent"]
+    assert len(w["root"]) > 1 and w["y"] != w["y2"]
+    assert lab.label(w["root"], w["x"], w["atom_first"]) == lab.label(
+        w["root"], w["x"], w["atom_other"])
+    assert rep == _classify_literal(lab, p, {"tcl", "self-consistent"})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cc_with_every_label_equal_stops_at_its_first_failure(seed):
+    # every pair of chains of a rank-two interval has one label sequence, so
+    # CC fails at [0hat, y] for the first rank-two y; the literal oracle
+    # counts the rooted intervals up to it
+    p, _ = shuffled_boolean_lattice(5, seed)
+    lab = CELabeling.from_edges(p, {c: 1 for c in p.covers})
+    rep, literal = classify(lab, p, kinds={"cc"}), _classify_literal(lab, p, {"cc"})
+    assert not rep.is_cc and rep == literal
+    assert rep.rooted_intervals == literal.rooted_intervals == 1 + len(p.atoms())
 
 
 @SETTINGS
