@@ -180,8 +180,7 @@ def root_trie(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET) ->
     Raises BudgetExceededError when the poset has more rooted covers (trie
     nodes, less one) than the budget; None means no limit.
     """
-    if budget is not None:
-        ensure_budget(poset, budget)
+    ensure_budget(poset, budget)
     if poset._root_trie is None:
         poset._root_trie = RootTrie(poset)
     return poset._root_trie
@@ -265,8 +264,11 @@ def rooted_interval_count(poset: Poset) -> int:
     return total
 
 
-def ensure_budget(poset: Poset, budget: int = DEFAULT_ROOTED_COVER_BUDGET):
-    """Hard stop before materializing rooted structure on oversized posets."""
+def ensure_budget(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET):
+    """Hard stop before materializing rooted structure on oversized posets;
+    a budget of None is no limit."""
+    if budget is None:
+        return
     count = rooted_cover_count(poset)
     if count > budget:
         raise BudgetExceededError(

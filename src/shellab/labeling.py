@@ -9,7 +9,7 @@ prefix precedes its extensions).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from operator import itemgetter, or_
 
 from ._record import Record
@@ -233,8 +233,7 @@ def classify(lab: CELabeling, poset: Poset, kinds=None,
     kinds = set(KINDS if kinds is None else kinds)
     if not kinds <= set(KINDS):
         raise ValueError(f"unknown labeling kinds: {sorted(kinds - set(KINDS))}")
-    if budget is not None:
-        ensure_budget(poset, budget)
+    ensure_budget(poset, budget)
 
     report = LabelingReport()
     checks = {c for kind in kinds for c in _FAILED_BY[kind]}
@@ -302,6 +301,15 @@ class _Intervals:
     every other chain's sequence; asc[v][z] is that atom when z covers it.
     The first failure of a kind is the least (rank of v, index of y); the
     passes stop counting a kind once no later y can precede it.
+
+    A pass that checks something skips each fork-free top y, where [0̂, y]
+    is one chain: y is 0̂, or covers one element and that is a fork-free
+    top.  Every [v, y] then has one chain, so TCL, CC, self-consistency and
+    the designated atoms hold there, and CL fails only at a descending cover
+    pair, so a top with one at or below it is walked while CL is live.
+    A skipped top y still gets asc[v][y] = w for v < w < y, which the TCL
+    rows of later tops, chains() and ascends() read.  A pass with no check
+    (bases) skips nothing.
     """
 
     def __init__(self, lab: CELabeling, poset: Poset, trie=None):
@@ -401,13 +409,28 @@ class _Intervals:
         pending = [k for k in ("tcl", "cl") if k in checks] + ["atom"] * (designated is not None)
         first, cand, late, unsorted = {}, {}, {}, [True] * len(order)
         # self-consistency can fail only at a node two of whose covers have one label
-        dup = {v for v, ws in enumerate(up) if len({lbl for _, lbl in ws}) < len(ws)} \
-            if "sc" in checks else ()
+        dup = self.tied if "sc" in checks else ()
+        # lone[t]: y = order[t] is a fork-free top (0̂, or over one lower
+        # cover, itself fork-free); rise[t]: the labels rise along [0̂, y];
+        # into[t]: the label into y's one node
+        lone, rise, into = [False] * len(order), [False] * len(order), [None] * len(order)
+        for t, y in enumerate(order if pending else ()):
+            d = poset.down[y]
+            if not d:
+                lone[t] = rise[t] = True
+            elif len(d) == 1 and lone[place[d[0]]]:
+                s, w, (z,) = place[d[0]], nodes_of[d[0]][0], nodes_of[y]
+                into[t] = next(lbl for c, lbl in up[w] if c == z)
+                lone[t], rise[t] = True, rise[s] and (into[s] is None or into[s] < into[t])
+                if poset.down[d[0]]:  # its one ascent, which later passes read
+                    asc[nodes_of[poset.down[d[0]][0]][0]][y] = w
 
         for t, y in enumerate(order):
             live = [k for k in pending if k not in first or first[k] >= settle[t]]
             if pending and not live:
                 break
+            if lone[t] and (rise[t] or "cl" not in live):  # no live check fails here
+                continue
             m = under[t]  # the elements below y, or those in an [x, y] asked for
             if bases is not None:
                 m &= reduce(or_, (over[place[x]] for x in bases.get(y, ())), 0)
@@ -499,6 +522,12 @@ class _Intervals:
                     first[k] = (r, yi)
         return first, cand, late
 
+    @cached_property
+    def tied(self) -> set:
+        """The nodes two of whose covers have one label: the forks where CC
+        and self-consistency can fail."""
+        return {v for v, ws in enumerate(self.up) if len({lbl for _, lbl in ws}) < len(ws)}
+
     def cc_failure(self):
         """The first (rank of v, index of y) where two chains of [v, y] have
         label sequences one a prefix of (or equal to) the other, or None.
@@ -510,9 +539,8 @@ class _Intervals:
         while they hold two chains.  Per v in canonical order the forks above
         it not walked yet are walked; a state is walked once, and only while
         it can reach a y of lower index than the least failing y found."""
-        poset, elem, up = self.poset, self.elem, self.up
+        poset, elem, up, tied = self.poset, self.elem, self.up, self.tied
         index, upset = poset.index, poset._upset
-        tied = {u for u, ws in enumerate(up) if len({lbl for _, lbl in ws}) < len(ws)}
         if not tied:
             return None
         least = {e: min(map(index.__getitem__, upset[e])) for e in poset.elements}

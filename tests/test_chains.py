@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import shellab
 from shellab import (
     BudgetExceededError,
     InvalidIntervalError,
@@ -14,6 +17,7 @@ from shellab import (
     rooted_intervals,
     roots,
 )
+from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET
 from conftest import brute_paths, brute_rooted_covers, brute_rooted_intervals
 
 
@@ -130,3 +134,70 @@ def test_budget_guard():
     p = build_poset(elements, covers)
     with pytest.raises(BudgetExceededError):
         list(rooted_intervals(p, budget=100))
+
+
+def _budgeted_calls():
+    """(name, call) per public function that takes the rooted-cover budget;
+    call(budget) runs it on fig2-P with its bold TCL labeling, the first
+    atom table read off that labeling, and the labeling relabeled from the
+    canonical chain order."""
+    from shellab import corpus
+    from shellab.chains import ensure_budget, root_trie
+    from shellab.labeling import load_labeling
+    from shellab.rfas import load_first_atom_set
+
+    example = corpus.load_named("fig2-P")
+    p, lab = example.poset, example.labeling("bold")
+    omega, chains = shellab.rfas_from_tcl(p, lab), maximal_chains(p)
+    rel = shellab.relabel_from_order(p, chains)
+    rel_json, omega_json = shellab.labeling_to_json(rel), shellab.first_atom_set_to_json(omega)
+    chain_table = {(tuple(e["root"]), e["from"], e["to"]): e["label"] for e in rel_json["labels"]}
+
+    def write(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return path
+
+    return [
+        ("ensure_budget", lambda b, _: ensure_budget(p, b)),
+        ("root_trie", lambda b, _: root_trie(p, b) is root_trie(p)),
+        ("rooted_intervals", lambda b, _: list(rooted_intervals(p, b))),
+        ("rooted_cover_relations", lambda b, _: list(rooted_cover_relations(p, b))),
+        ("CELabeling.from_chain_table", lambda b, _: shellab.labeling_to_json(
+            shellab.CELabeling.from_chain_table(p, chain_table, budget=b))),
+        ("labeling_from_json", lambda b, _: shellab.labeling_to_json(
+            shellab.labeling_from_json(p, rel_json, budget=b))),
+        ("load_labeling", lambda b, t: shellab.labeling_to_json(
+            load_labeling(p, write(t, "lab.json", rel_json), budget=b))),
+        ("classify", lambda b, _: shellab.classify(rel, p, budget=b)),
+        ("descent_set", lambda b, _: shellab.descent_set(lab, p, budget=b)),
+        ("FirstAtomSet.from_entries", lambda b, _: shellab.first_atom_set_to_json(
+            shellab.FirstAtomSet.from_entries(p, {}, budget=b))),
+        ("first_atom_set_from_json", lambda b, _: shellab.first_atom_set_to_json(
+            shellab.first_atom_set_from_json(p, omega_json, budget=b))),
+        ("load_first_atom_set", lambda b, t: shellab.first_atom_set_to_json(
+            load_first_atom_set(p, write(t, "omega.json", omega_json), budget=b))),
+        ("check_rfas", lambda b, _: shellab.check_rfas(p, omega, budget=b)),
+        ("chain_order_dag", lambda b, _: shellab.chain_order_dag(p, omega, budget=b)),
+        ("shelling_from_rfas", lambda b, _: shellab.shelling_from_rfas(p, omega, budget=b)),
+        ("check_lc", lambda b, _: shellab.check_lc(p, omega, budget=b)),
+        ("is_compatible", lambda b, _: shellab.is_compatible(lab, omega, p, budget=b)),
+        ("compatible_labeling", lambda b, _: shellab.labeling_to_json(
+            shellab.compatible_labeling(p, omega, budget=b))),
+        ("rfas_from_tcl", lambda b, _: shellab.first_atom_set_to_json(
+            shellab.rfas_from_tcl(p, lab, budget=b))),
+        ("relabel_from_order", lambda b, _: shellab.labeling_to_json(
+            shellab.relabel_from_order(p, chains, budget=b))),
+        ("verify_label_bound", lambda b, _: shellab.verify_label_bound(p, chains, rel, budget=b)),
+        ("verify_block_structure", lambda b, _: shellab.verify_block_structure(
+            p, chains, rel, budget=b)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _budgeted_calls()])
+def test_a_budget_of_none_is_no_limit(name, tmp_path):
+    # None answers as the default budget does, and a budget of 1 refuses fig2-P
+    call = dict(_budgeted_calls())[name]
+    assert call(None, tmp_path) == call(DEFAULT_ROOTED_COVER_BUDGET, tmp_path)
+    with pytest.raises(BudgetExceededError):
+        call(1, tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from shellab import (
     CELabeling,
     FirstAtomSet,
     brute_force_shellable,
+    build_poset,
     chain_order_dag,
     check_lc,
     check_rfas,
@@ -23,6 +25,7 @@ from shellab import (
     is_shelling,
     maximal_chains,
     order_complex,
+    ordinal_sum,
     random_bounded_poset,
     linear_extensions,
     relabel_from_order,
@@ -263,12 +266,18 @@ def test_classify_matches_literal_oracle(p, label_seed, spread, rooted, mixed):
             p, {rc: rng.randint(1, spread) for rc in brute_rooted_covers(p)})
     else:
         lab = CELabeling.from_edges(p, {c: rng.randint(1, spread) for c in p.covers})
+    _assert_classify_matches_literal(lab, p, mixed)
+    assert_readers_match_literal(lab, p, rng)
+
+
+def _assert_classify_matches_literal(lab, p, *more):
+    """classify against _classify_literal for each kind alone, all of them
+    and the kind sets in more: verdicts, witnesses and the work counter."""
     # equality ignores the work counter, so it is compared on its own
-    for kinds in [{kind} for kind in KINDS] + [KINDS, mixed]:
+    for kinds in [{kind} for kind in KINDS] + [KINDS, *more]:
         rep, literal = classify(lab, p, kinds=kinds), _classify_literal(lab, p, kinds)
         assert rep == literal
         assert rep.rooted_intervals == literal.rooted_intervals
-    assert_readers_match_literal(lab, p, rng)
 
 
 @pytest.mark.parametrize("seed, n", [(75, 7), (137, 8), (140, 7)])
@@ -313,6 +322,59 @@ def test_cc_with_every_label_equal_stops_at_its_first_failure(seed):
     rep, literal = classify(lab, p, kinds={"cc"}), _classify_literal(lab, p, {"cc"})
     assert not rep.is_cc and rep == literal
     assert rep.rooted_intervals == literal.rooted_intervals == 1 + len(p.atoms())
+
+
+def _chain(n, name):
+    elements = [f"{name}{i}" for i in range(n)]
+    return build_poset(elements, list(zip(elements, elements[1:])))
+
+
+# a random poset with a chain below it, above it or both: [0hat, y] is one
+# chain for each y of a chain below, and the fork-free stretch of a chain
+# above starts over a fork
+chain_sums = st.builds(
+    lambda below, p, above: reduce(ordinal_sum, [q for q in (below, p, above) if q]),
+    st.one_of(st.none(), st.integers(1, 3).map(lambda n: _chain(n, "b"))),
+    posets.filter(lambda p: len(p.elements) <= 7),
+    st.one_of(st.none(), st.integers(1, 3).map(lambda n: _chain(n, "t"))),
+).filter(lambda p: p.bottom == "b0" or p.top[0] == "t")
+
+
+@SETTINGS
+@given(chain_sums, st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_classify_on_chains_and_forks_matches_literal_oracle(p, label_seed, rooted):
+    # labels from 1..4, so the fork-free tops meet descents and ties
+    rng = random.Random(label_seed)
+    if rooted:
+        lab = CELabeling.from_chain_table(
+            p, {rc: rng.randint(1, 4) for rc in brute_rooted_covers(p)})
+    else:
+        lab = CELabeling.from_edges(p, {c: rng.randint(1, 4) for c in p.covers})
+    _assert_classify_matches_literal(lab, p)
+    assert_readers_match_literal(lab, p, rng)
+
+
+FORK_ABOVE_CHAIN = build_poset(
+    ["0", "a", "b", "c", "d", "1"],
+    [("0", "a"), ("a", "b"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")])
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 6, 5), (6, 5, 4, 3, 2, 1),
+                                    (1, 2, 3, 3, 4, 4)])
+@pytest.mark.parametrize("rooted", [False, True])
+def test_fork_above_a_chain_matches_literal_oracle(labels, rooted):
+    # [0, y] is one chain for y in 0, a, b, c, d, so only the passes of those
+    # tops record that 0 ascends to b and a to c and d, and [0, 1] reads it;
+    # distinct labels make every [b, 1] hold one ascending chain
+    p = FORK_ABOVE_CHAIN
+    table = dict(zip(p.covers, labels))
+    if rooted:
+        lab = CELabeling.from_chain_table(p, {
+            (r, u, v): table[(u, v)] for r, u, v in brute_rooted_covers(p)})
+    else:
+        lab = CELabeling.from_edges(p, table)
+    _assert_classify_matches_literal(lab, p)
+    assert classify(lab, p, kinds={"tcl"}).is_tcl == (len(set(labels)) == 6)
 
 
 @SETTINGS
