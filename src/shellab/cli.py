@@ -141,10 +141,11 @@ class Report:
 
 
 def _read_tokens(path):
-    """The whitespace-separated tokens of each nonblank line of a text file."""
+    """The whitespace-separated tokens of each nonblank line of a text file,
+    yielded one line at a time."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [tokens for tokens in map(str.split, fh) if tokens]
+            yield from filter(None, map(str.split, fh))
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not text ({exc})") from None
 
@@ -274,11 +275,12 @@ def _cmd_rao(args, report):
 
 def _read_facet_order(path, complex_):
     """The facets of an order file, one a line as whitespace-separated
-    vertices: a token names the vertex whose str() it is."""
+    vertices, yielded as the file is read: a token names the vertex whose
+    str() it is."""
     named = {str(v): v for v in complex_.vertices}
     if len(named) != len(complex_.vertices):
         raise InvalidInputError("an order file cannot name vertices that share a string form")
-    return [list(map(named.get, tokens, tokens)) for tokens in _read_tokens(path)]
+    return (map(named.get, tokens, tokens) for tokens in _read_tokens(path))
 
 
 def _cmd_shelling_verify(args, report):
@@ -307,7 +309,7 @@ def _cmd_shelling_verify(args, report):
     report.verdict("shelling", result.ok)
     if not result.ok:
         report.witness("shelling", {"violation_at": list(result.first_violation)})
-    report.timing("facets", len(order))
+    report.timing("facets", len(complex_._masks))
 
 
 def _cmd_corpus(args, report):

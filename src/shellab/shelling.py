@@ -4,15 +4,19 @@ A complex holds each facet as a bitmask over the positions of its
 `vertices` tuple.  Frozensets of vertices are built only where a function
 hands them out: `OrderComplex.facets` and `faces`, `restriction_map`,
 `brute_force_shellable` and `complex_to_json`.  A facet order may give each
-facet as any iterable of its vertices; it is read into one tuple of vertex
-positions per facet, and the facet it names is found by its mask.
+facet as any iterable of its vertices, and may itself be an iterator: it is
+read once, facet by facet, into one tuple of vertex positions per facet,
+and the facet it names is found by its mask.
 
 Shellings are checked in the nonpure sense: each facet after the first must
 meet the union of its predecessors in a pure subcomplex of dimension one
 less than the facet's own.  One kernel on vertex bitmasks decides this in
 the restriction-set form (Björner & Wachs, "Shellable nonpure complexes and
 posets I"): the order is a shelling exactly when no earlier facet contains
-R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.
+R(F_j), the vertices v of F_j with F_j - v inside an earlier facet.  The
+cone vertices, those in every facet (0̂ and 1̂ of a full order complex),
+skip the kernel: F_j - v inside F_k with v in F_k would put F_j inside
+F_k, so no R(F_j) holds one.
 """
 
 from __future__ import annotations
@@ -180,37 +184,47 @@ class ShellingResult(Record):
         return self.ok
 
 
-def _order_indices(complex_: OrderComplex, order) -> list:
-    """The tuple of vertex positions of each facet of `order`, which gives
-    each facet as an iterable of its vertices.  Raises InvalidInputError
-    unless `order` names every facet of the complex exactly once."""
+def _order_indices(complex_: OrderComplex, order) -> tuple:
+    """(indices, cone): per facet of `order`, read in one pass as any
+    iterable of its vertices, the tuple of its vertex positions outside the
+    cone, and the tuple of the cone's positions (the vertices in every
+    facet).  Raises InvalidInputError unless `order` names every facet of
+    the complex exactly once."""
+    cone = reduce(and_, complex_._masks, -1)
     position = {v: i for i, v in enumerate(complex_.vertices)}
+    free = bytes(not cone >> i & 1 for i in range(len(position)))
     unplaced = set(complex_._masks)
     out = []
     try:
         for facet in order:
-            idx = tuple(map(position.__getitem__, facet))
+            idx = list(map(position.__getitem__, facet))  # freed tuples stay on a free list
             mask = _mask(idx)
             unplaced.remove(mask)  # a KeyError if named already or not a facet
             if mask.bit_count() != len(idx):  # a vertex named twice
-                idx = tuple(dict.fromkeys(idx))
-            out.append(idx)
+                idx = dict.fromkeys(idx)
+            out.append(tuple(filter(free.__getitem__, idx)))
     except (KeyError, TypeError):  # also an unknown vertex, or a facet that is no iterable
         raise InvalidInputError("order must be a permutation of the facets") from None
     if unplaced:
         raise InvalidInputError("order must be a permutation of the facets")
-    return out
+    return out, _members(range(len(free)), [cone])[0]
 
 
 def _vertex_masks(facets, n) -> list:
     """Per vertex position below n, the bitmask of the positions of the
-    facets (tuples of vertex positions) containing it."""
-    masks = [0] * n
-    for pos, idx in enumerate(facets):
-        bit = 1 << pos
-        for i in idx:
-            masks[i] |= bit
-    return masks
+    facets (a list of tuples of vertex positions) containing it, ORed in
+    blocks of 1024 facets and joined as bytes: ORing every bit into one
+    growing int would copy that int each time."""
+    rows = [bytearray() for _ in range(n)]
+    for start in range(0, len(facets), 1024):
+        masks, bit = [0] * n, 1
+        for idx in facets[start:start + 1024]:
+            for i in idx:
+                masks[i] |= bit
+            bit <<= 1
+        for row, mask in zip(rows, masks):
+            row += mask.to_bytes(128, "little")
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _restriction(masks, facet, earlier):
@@ -240,7 +254,7 @@ def is_shelling(complex_: OrderComplex, order) -> ShellingResult:
     no k < j has F_i & F_j <= F_k & F_j with |F_k & F_j| = |F_j| - 1; these
     i are exactly the earlier facets containing R(F_j).  Each facet of
     `order` may be any iterable of its vertices."""
-    order = _order_indices(complex_, order)
+    order, _ = _order_indices(complex_, order)
     masks = _vertex_masks(order, len(complex_.vertices))
     for j in range(1, len(order)):
         _, holders = _restriction(masks, order[j], (1 << j) - 1)
@@ -256,7 +270,7 @@ def restriction_map(complex_: OrderComplex, order) -> dict:
     The new faces contributed at step j are exactly those containing R(F_j).
     Raises NotAShellingError when the order is not a shelling.
     """
-    order = _order_indices(complex_, order)
+    order, cone = _order_indices(complex_, order)
     masks = _vertex_masks(order, len(complex_.vertices))
     vertex = complex_.vertices.__getitem__
     out = {}
@@ -264,7 +278,7 @@ def restriction_map(complex_: OrderComplex, order) -> dict:
         restr, holders = _restriction(masks, facet, (1 << j) - 1)
         if holders:
             raise NotAShellingError("facet order fails the shelling condition")
-        out[frozenset(map(vertex, facet))] = frozenset(map(vertex, restr))
+        out[frozenset(map(vertex, facet + cone))] = frozenset(map(vertex, restr))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     _chain_order_dag_literal,
     _named_cycle,
     cyclic_order_case,
+    diamond_tower,
     shuffled_boolean_lattice,
     string_root_case,
     tie_case,
@@ -188,11 +190,47 @@ def test_shelling_verify_integer_vertices(tmp_path, capsys, facets, order, viola
 
 def test_order_file_cannot_name_vertices_sharing_a_string_form(tmp_path):
     # no complex file gives such vertices (they do not sort), but a complex
-    # built in process can
+    # built in process can; the call raises before any line is read
     (tmp_path / "order.txt").write_text("1\n1\n")
     k = shellab.OrderComplex((1, "1"), (frozenset({1}), frozenset({"1"})))
     with pytest.raises(shellab.InvalidInputError, match="share a string form"):
         cli._read_facet_order(tmp_path / "order.txt", k)
+
+
+def _tower_lex_order(tmp_path, k):
+    """Write poset.json, the diamond tower with 2**k maximal chains, and
+    return the tower and its lex order as the text of an order file."""
+    poset, lab = diamond_tower(k)
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+    return poset, "".join(" ".join(c) + "\n" for c in shellab.lex_order_max_chains(lab, poset))
+
+
+def test_order_file_not_text_past_the_facets_already_placed(tmp_path):
+    # the file is read while the kernel places its facets: a bad byte past
+    # the first 8 KiB read is met after the valid lines before it were placed
+    data = _tower_lex_order(tmp_path, 8)[1].encode()
+    assert len(data) > 8192
+    (tmp_path / "lex.order").write_bytes(data[:-2] + b"\xff\n")
+    code, out, err = _as_process(["shelling-verify", "poset.json", "--order-file", "lex.order"],
+                                 tmp_path)
+    assert (code, out) == (1, b"")
+    assert err.startswith(b"error: lex.order: not text") and b"Traceback" not in err
+
+
+def test_order_file_is_read_one_line_at_a_time(tmp_path):
+    # neither the lines nor their tokens are held: the traced peak of
+    # reading T_9's lex order (512 facets) and checking it was 882-992 KiB
+    # when the file was read whole, and is 111-115 KiB, on CPython 3.10-3.13
+    poset, text = _tower_lex_order(tmp_path, 9)
+    (tmp_path / "lex.order").write_text(text)
+    k = shellab.order_complex(poset)
+    tracemalloc.start()
+    try:
+        ok = shellab.is_shelling(k, cli._read_facet_order(tmp_path / "lex.order", k)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < 256 * 1024
 
 
 def test_poset_file_input(tmp_path, capsys):

@@ -11,6 +11,7 @@ from shellab import (
     BudgetExceededError,
     CELabeling,
     FirstAtomSet,
+    OrderComplex,
     brute_force_shellable,
     build_poset,
     chain_order_dag,
@@ -251,6 +252,36 @@ def test_is_shelling_reads_any_facet_form(p, shuffle_seed):
     if result.ok:
         rmap = restriction_map(k, forms[0])
         assert all(restriction_map(k, order) == rmap for order in forms[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_cone_free_kernel_matches_literal_oracles_on_abstract_complexes(seed):
+    # a nonpure antichain with 0-2 cone vertices added to every facet, each
+    # facet named in shuffled vertex order, some with a vertex twice; the
+    # kernel leaves the cone out, and restriction_map adds it back
+    rng = random.Random(seed)
+    facets = []
+    for _ in range(rng.randint(1, 7)):
+        f = frozenset(f"v{i}" for i in range(7) if rng.random() < 0.5)
+        if f and not any(f <= g or g <= f for g in facets):
+            facets.append(f)
+    assume(facets)
+    cone = frozenset(f"c{i}" for i in range(rng.randint(0, 2)))
+    order = [f | cone for f in facets]
+    k = OrderComplex(tuple(sorted(frozenset().union(*order))), order)
+    rng.shuffle(order)
+    named = [rng.sample(sorted(f), len(f)) for f in order]
+    for vertices in named:
+        if rng.random() < 0.3:
+            vertices.append(rng.choice(vertices))
+    result = is_shelling(k, iter(named))
+    assert result.first_violation == _shelling_violation_literal(order)
+    if result.ok:
+        rmap = restriction_map(k, named)
+        assert rmap == {f: frozenset(v for v in f if any(f - {v} <= e for e in order[:j]))
+                        for j, f in enumerate(order)}
+        assert not any(cone & r for r in rmap.values())
 
 
 @SETTINGS

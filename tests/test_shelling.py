@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -26,6 +27,7 @@ from shellab import (
     restriction_map,
 )
 from shellab.chains import root_trie
+from shellab.shelling import _vertex_masks
 from conftest import (
     _is_shelling_literal,
     brute_euler_characteristic,
@@ -144,6 +146,18 @@ def test_order_complex_and_is_shelling_stay_small():
     finally:
         tracemalloc.stop()
     assert peak <= 1_150 * 1024 // 3
+
+
+@pytest.mark.parametrize("count", [0, 7, 1024, 1025, 2500])
+def test_vertex_masks_join_blocks_of_facets(count):
+    # the masks are ORed 1024 facets at a time and the blocks joined as bytes
+    rng = random.Random(count)
+    facets = [tuple(rng.sample(range(40), rng.randint(0, 6))) for _ in range(count)]
+    expected = [0] * 41  # vertex 40 is in no facet
+    for pos, idx in enumerate(facets):
+        for i in idx:
+            expected[i] |= 1 << pos
+    assert _vertex_masks(facets, 41) == expected
 
 
 def test_homotopy_report_euler_mismatch_raises(monkeypatch):
