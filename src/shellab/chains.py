@@ -5,9 +5,10 @@ element x is a maximal chain of [bottom, x]; it contains both the bottom
 element and x.  All enumerations are deterministic: they follow the canonical
 element order of the poset.
 
-Every root is stored once, as a node of the poset's RootTrie, and the
-chains of one interval come from a RootTrie grown over that interval; the
-tuple form of a chain is built only where a public function returns it.
+Maximal chains, of the poset or of one interval, come from one walk over
+the covers that holds only the chain being extended.  Where a root is a
+key (a chain-edge label, a first atom, a root-dependent verdict), it is
+stored once, as a node of the poset's RootTrie.
 """
 
 from __future__ import annotations
@@ -34,25 +35,16 @@ class RootTrie:
     hence node order is the lexicographic order of the roots and the subtree
     of v is the id range [v, end[v]).  depth[v] is the number of covers on
     the root of v.
-
-    With x and y given, the trie holds the saturated chains of [x, y] that
-    start at x instead: node 0 is (x,), children are the covers below y, and
-    nodes_of has the elements of [x, y] only.
     """
 
     __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_up", "_pos", "_upset", "_forks",
                  "_chains", "_index")
 
-    def __init__(self, poset: Poset, x=None, y=None):
+    def __init__(self, poset: Poset):
         # preorder DFS: children are pushed reversed so they pop in order
-        upset = poset._upset
-        if x is None:
-            x, rev_up = poset.bottom, {e: ws[::-1] for e, ws in poset.up.items()}
-        else:
-            rev_up = {e: [w for w in reversed(poset.up[e]) if y in upset[w]]
-                      for e in upset[x] if y in upset[e]}
+        rev_up = {e: ws[::-1] for e, ws in poset.up.items()}
         elem, parent, nodes_of = [], [], {e: [] for e in rev_up}
-        stack, parents = [x], [-1]
+        stack, parents = [poset.bottom], [-1]
         while stack:
             e = stack.pop()
             v = len(elem)
@@ -74,7 +66,7 @@ class RootTrie:
         self.end = [v + s for v, s in enumerate(size)]
         self.nodes_of = nodes_of
         self._up, self._pos = poset.up, poset.index  # not the poset, which holds the trie
-        self._upset = upset
+        self._upset = poset._upset
         self._forks = None
         self._chains = None
         self._index = None
@@ -89,18 +81,16 @@ class RootTrie:
         atoms.  Every other interval [e, y] has one atom, whatever the root
         of e.  Built on first use, since only first-atom tables read it."""
         if self._forks is None:
-            upset, have = self._upset, self.nodes_of
-            self._forks = dict.fromkeys(have, {})  # one shared empty dict: a chain has no forks
-            for e in have:
-                ws = [w for w in self._up[e] if w in have]
+            upset = self._upset
+            self._forks = dict.fromkeys(self._up, {})  # one shared empty dict: a chain has no forks
+            for e, ws in self._up.items():
                 if len(ws) < 2:
                     continue
                 seen, twice = set(), set()
                 for w in ws:
                     twice |= seen & upset[w]
                     seen |= upset[w]
-                self._forks[e] = dict.fromkeys(sorted(twice.intersection(have),
-                                                      key=self._pos.__getitem__))
+                self._forks[e] = dict.fromkeys(sorted(twice, key=self._pos.__getitem__))
         return self._forks
 
     def children(self, v):
@@ -186,15 +176,32 @@ def root_trie(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET) ->
     return poset._root_trie
 
 
+def walk_chains(poset: Poset, x, y):
+    """Iterate the maximal chains of [x, y], x <= y, in lexicographic index
+    order: a preorder walk along the covers below y, whose stack holds the
+    covers still to take and which builds a tuple only for a whole chain."""
+    upset, done = poset._upset, object()  # done: the walk leaves the path's last element
+    ups = {e: [done, *(w for w in reversed(poset.up[e]) if y in upset[w])]
+           for e in upset[x] if y in upset[e]}
+    path, stack = [], [x]
+    while stack:
+        e = stack.pop()
+        if e is done:
+            path.pop()
+        elif e == y:
+            yield (*path, e)
+        else:
+            path.append(e)
+            stack += ups[e]
+
+
 def maximal_chains(poset: Poset) -> tuple:
     """All maximal bottom-to-top chains, in lexicographic index order.
 
-    These are the roots of the top element.  Every root is a prefix of a
-    maximal chain, so enumerating the chains costs as much as building the
-    trie, and this is done without a budget.
+    These are the roots of the top element, walked without a RootTrie and
+    without a budget.
     """
-    trie = root_trie(poset, None)
-    return tuple(trie.chain(v) for v in trie.nodes_of[poset.top])
+    return tuple(walk_chains(poset, poset.bottom, poset.top))
 
 
 def check_interval(poset: Poset, x, y):
@@ -213,19 +220,14 @@ def interval_chains(poset: Poset, x, y) -> tuple:
     InvalidIntervalError when x or y is not an element or x is not below y.
     """
     check_interval(poset, x, y)
-    trie = RootTrie(poset, x, y)
-    return tuple(trie.chain(v) for v in trie.nodes_of[y])
+    return tuple(walk_chains(poset, x, y))
 
 
 def roots(poset: Poset, x) -> tuple:
-    """All roots of x: maximal chains of [bottom, x], lexicographically.
-
-    The roots are read from the poset's RootTrie, which is built without a
-    budget; callers that must bound the work check ensure_budget first.
-    """
-    check_interval(poset, poset.bottom, x)
-    trie = root_trie(poset, None)
-    return tuple(trie.chain(v) for v in trie.nodes_of[x])
+    """All roots of x: maximal chains of [bottom, x], lexicographically,
+    walked without a RootTrie and without a budget; callers that must bound
+    the work check ensure_budget first."""
+    return interval_chains(poset, poset.bottom, x)
 
 
 def is_root(poset: Poset, r, x) -> bool:

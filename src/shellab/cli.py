@@ -27,9 +27,9 @@ from .errors import InvalidInputError, ShellabError
 from .labeling import (
     KINDS,
     classify,
-    labeling_from_json,
     labeling_to_json,
     lex_order_max_chains,
+    load_labeling,
 )
 from .poset import load_json_object, load_poset, poset_from_json, to_dot
 
@@ -46,7 +46,7 @@ def _resolve_poset(ref):
     return load_poset(ref)
 
 
-def _resolve_table(kind, from_json, poset, ref, budget):
+def _resolve_table(kind, load, poset, ref, budget):
     """A labeling or first atom set: ``corpus:NAME/KEY`` or a JSON file."""
     if ref.startswith("corpus:"):
         from . import corpus
@@ -61,16 +61,16 @@ def _resolve_table(kind, from_json, poset, ref, budget):
         if example.poset != poset:  # node ids of another poset's trie
             raise ShellabError(f"{ref} belongs to corpus example {name!r}, not to the given poset")
         return tables[key]
-    return from_json(poset, load_json_object(ref), budget)
+    return load(poset, ref, budget)
 
 
-_resolve_labeling = partial(_resolve_table, "labelings", labeling_from_json)
+_resolve_labeling = partial(_resolve_table, "labelings", load_labeling)
 
 
 def _resolve_first_atom_set(poset, ref, budget):
-    from .rfas import first_atom_set_from_json
+    from .rfas import load_first_atom_set
 
-    return _resolve_table("first_atom_sets", first_atom_set_from_json, poset, ref, budget)
+    return _resolve_table("first_atom_sets", load_first_atom_set, poset, ref, budget)
 
 
 def _chain_str(chain):

@@ -78,8 +78,11 @@ class CELabeling:
                          budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> "CELabeling":
         """Chain-edge labeling: one integer per rooted cover (root, u, v)."""
         ensure_budget(poset, budget)
-        lab = cls(poset, chain_table={k: _integer(v) for k, v in table.items()})
-        lab._by_node(root_trie(poset, None))  # every rooted cover has a label
+        labels = list(map(_integer, table.values()))  # each label is checked before any root
+        lab, trie = cls(poset, chain_table={}), root_trie(poset, None)
+        for (r, u, v), lbl in zip(table, labels):
+            lab._lab_in[trie.resolve(r, (u, v))[1]] = lbl
+        lab._by_node(trie)  # every rooted cover has a label
         return lab
 
     def label(self, root, u, v) -> int:
@@ -291,7 +294,9 @@ class _Intervals:
       self-consistency asks for it;
     - per CL or TCL, a row: (w, λ(v, w), the number of chains from v to y
       that start with w and rise at every cover pair, up to 2) per cover
-      v < w <= y with such a chain.
+      v < w <= y with such a chain, in label order.  So CL counts the chains
+      that rise from v < w off the end of w's row, and stops at the first
+      label not above λ(v, w) or at a count of 2: two entries at most.
 
     CL and TCL ask each rooted interval for exactly one such chain (CL
     also for the least chain to rise) and differ only in what rises:
@@ -480,9 +485,16 @@ class _Intervals:
                             c = 1
                             if w in below:  # w is below y
                                 c = 0
-                                for z, lz, cz in below[w]:
-                                    if (lbl < lz) if cl else (av.get(elem[z]) == w):
-                                        c += cz
+                                if cl:  # from the end of w's row while its labels exceed lbl
+                                    ws = below[w]
+                                    if ws and ws[-1][1] > lbl:
+                                        c = ws[-1][2]
+                                        if c == 1 and len(ws) > 1 and ws[-2][1] > lbl:
+                                            c += ws[-2][2]
+                                else:
+                                    for z, lz, cz in below[w]:
+                                        if av.get(elem[z]) == w:
+                                            c += cz
                                 if not c:
                                     continue
                                 if c > 2:
@@ -701,6 +713,20 @@ def labeling_to_json(lab: CELabeling) -> dict:
 
 def labeling_from_json(poset: Poset, data: dict,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
+    mode, table = _label_table(data)
+    del data  # the decoded file, freed before the trie is built unless the caller holds it
+    return _from_table(poset, mode, table, budget)
+
+
+def load_labeling(poset: Poset, path,
+                  budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
+    # no frame holds the decoded file once its entries are read
+    return _from_table(poset, *_label_table(load_json_object(path)), budget)
+
+
+def _label_table(data) -> tuple:
+    """(mode, table) of a decoded labeling file, whose shape is checked
+    here: the table maps (u, v) or (root, u, v) to a label."""
     if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
         raise InvalidInputError('a labeling needs an object with a "labels" list')
     mode, labels = data.get("mode", "edge"), data["labels"]
@@ -715,11 +741,10 @@ def labeling_from_json(poset: Poset, data: dict,
     except (KeyError, TypeError) as exc:
         keys = ("root",) * (mode == "chain-edge") + ("from", "to", "label")
         raise entry_error("labeling", labels, keys, exc) from None
+    return mode, table
+
+
+def _from_table(poset: Poset, mode, table, budget) -> CELabeling:
     if mode == "edge":
         return CELabeling.from_edges(poset, table)
     return CELabeling.from_chain_table(poset, table, budget)
-
-
-def load_labeling(poset: Poset, path,
-                  budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> CELabeling:
-    return labeling_from_json(poset, load_json_object(path), budget)

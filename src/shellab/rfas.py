@@ -20,7 +20,6 @@ from .chains import (
     DEFAULT_LC_BUDGET,
     DEFAULT_ROOTED_COVER_BUDGET,
     check_interval,
-    maximal_chains,
     root_trie,
 )
 from .errors import (
@@ -74,7 +73,7 @@ class FirstAtomSet:
         rooted intervals with a choice get by default="leftmost" the least atom.
         """
         trie, table = root_trie(poset, budget), {}
-        for (r, x, y), atom in dict(entries).items():
+        for (r, x, y), atom in (entries.items() if entries else ()):
             # a given root resolves to one node; a root-less x has its roots
             gs = trie.nodes_of.get(x, ()) if r is None else trie.resolve(r, (x,))
             if x not in poset.index or not poset.lt(x, y):
@@ -341,7 +340,8 @@ def chain_order_dag(poset: Poset, omega: FirstAtomSet,
     """Directed graph on maximal chains: m -> m' when m' has a pseudo descent
     whose replacement by the first atom chain yields m.  The edges are those
     check_rfas builds; raises NotAnRfasError unless it accepts the table."""
-    return ChainOrderDag(maximal_chains(poset), _accepted(poset, omega, budget).edges)
+    edges, trie = _accepted(poset, omega, budget).edges, omega.trie
+    return ChainOrderDag(tuple(map(trie.chain, trie.nodes_of[poset.top])), edges)
 
 
 def _accepted(poset, omega, budget) -> RfasReport:
@@ -365,8 +365,9 @@ def shelling_from_rfas(poset: Poset, omega: FirstAtomSet,
                        budget: int = DEFAULT_ROOTED_COVER_BUDGET):
     """First linear extension of the chain order, a shelling order: always
     the least-index chain whose predecessors are placed, found without search."""
-    order, chains = _accepted(poset, omega, budget).order, maximal_chains(poset)
-    return tuple(chains[i] for i in order)
+    order, trie = _accepted(poset, omega, budget).order, omega.trie
+    leaves = trie.nodes_of[poset.top]
+    return tuple(trie.chain(leaves[i]) for i in order)
 
 
 def check_lc(poset: Poset, omega: FirstAtomSet,
@@ -524,6 +525,20 @@ def first_atom_set_to_json(omega: FirstAtomSet) -> dict:
 
 def first_atom_set_from_json(poset: Poset, data: dict,
                              budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
+    entries, default = _first_atom_entries(data)
+    del data  # the decoded file, freed before the trie is built unless the caller holds it
+    return FirstAtomSet.from_entries(poset, entries, default, budget)
+
+
+def load_first_atom_set(poset: Poset, path,
+                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
+    # no frame holds the decoded file once its entries are read
+    return FirstAtomSet.from_entries(poset, *_first_atom_entries(load_json_object(path)), budget)
+
+
+def _first_atom_entries(data) -> tuple:
+    """The entries, (root, x, y) -> atom, and the default of a decoded
+    first-atom file, whose shape is checked here."""
     listed = data.get("first_atoms", []) if isinstance(data, dict) else None
     if not isinstance(listed, list):
         raise InvalidInputError('a first atom set needs an object with a "first_atoms" list')
@@ -537,9 +552,4 @@ def first_atom_set_from_json(poset: Poset, data: dict,
     default = data.get("default", "leftmost")
     if default not in ("leftmost", None):
         raise InvalidInputError(f'"default" must be "leftmost" or null, not {default!r}')
-    return FirstAtomSet.from_entries(poset, entries, default, budget)
-
-
-def load_first_atom_set(poset: Poset, path,
-                        budget: int = DEFAULT_ROOTED_COVER_BUDGET) -> FirstAtomSet:
-    return first_atom_set_from_json(poset, load_json_object(path), budget)
+    return entries, default

@@ -26,7 +26,7 @@ from itertools import combinations, compress
 from operator import and_, or_
 
 from ._record import Record
-from .chains import RootTrie, check_interval, root_trie
+from .chains import check_interval, root_trie, walk_chains
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
@@ -148,29 +148,25 @@ def order_complex(poset: Poset, interval=None) -> OrderComplex:
     With `interval=(x, y)` the facets are the maximal chains of [x, y]
     stripped of both endpoints; the full complex keeps the bounds (and is
     therefore a double cone).  Facets come in the order of
-    `maximal_chains` (or `interval_chains`): each RootTrie node's mask is
-    its parent's with the node's element added, read off at the top.
+    `maximal_chains` (or `interval_chains`), one walk over the covers that
+    builds no RootTrie, and only their masks are kept.
     """
     if interval is None:
         x, y = poset.bottom, poset.top
         vertices = tuple(poset.elements)
-        trie = root_trie(poset, None)
     else:
         x, y = interval
         check_interval(poset, x, y)
         vertices = tuple(e for e in poset.interval(x, y) if e not in (x, y))
         if not vertices:
             raise EmptyIntervalError(f"open interval ({x!r}, {y!r}) is empty")
-        trie = RootTrie(poset, x, y)
     bit = {e: 1 << i for i, e in enumerate(vertices)}
     if interval is not None:
         # distinct maximal chains of [x, y] have distinct interiors
         bit[x] = bit[y] = 0
-    elem, parent = trie.elem, trie.parent
-    masks = [bit[x]]
-    for v in range(1, len(elem)):
-        masks.append(masks[parent[v]] | bit[elem[v]])
-    return OrderComplex._of_masks(vertices, tuple(map(masks.__getitem__, trie.nodes_of[y])))
+    # the bits of a chain's distinct vertices sum to their OR
+    return OrderComplex._of_masks(vertices, tuple(
+        sum(map(bit.__getitem__, c)) for c in walk_chains(poset, x, y)))
 
 
 class ShellingResult(Record):

@@ -8,6 +8,7 @@ from shellab import (
     InvalidIntervalError,
     InvalidRootError,
     build_poset,
+    corpus,
     interval_chains,
     maximal_chains,
     maximal_chains_rooted,
@@ -18,6 +19,7 @@ from shellab import (
     roots,
 )
 from shellab.chains import DEFAULT_ROOTED_COVER_BUDGET
+from shellab.shelling import order_complex
 from conftest import brute_paths, brute_rooted_covers, brute_rooted_intervals
 
 
@@ -47,6 +49,23 @@ def test_chains_are_deterministic(fig2):
         sorted(brute_paths(p.covers, p.bottom, p.top),
                key=lambda c: [p.index[e] for e in c])
     )
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_chain_walks_build_no_root_trie(name):
+    # chains, roots and facets are walked along the covers; the RootTrie is
+    # built only where a root keys a table
+    q = corpus.load_named(name).poset
+    p = build_poset(q.elements, q.covers)  # one that no labeling has used
+    assert maximal_chains(p) == maximal_chains(q)
+    order_complex(p)
+    for x in p.elements:
+        roots(p, x)
+        for y in p.upset(x):
+            interval_chains(p, x, y)
+            if len(p.interval(x, y)) > 2:
+                order_complex(p, interval=(x, y))
+    assert p._root_trie is None
 
 
 def test_rooted_interval_endpoints():
