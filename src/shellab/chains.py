@@ -207,7 +207,11 @@ def maximal_chains(poset: Poset) -> tuple:
 def check_interval(poset: Poset, x, y):
     """Raise InvalidIntervalError unless x and y are elements with x <= y."""
     for e in (x, y):
-        if e not in poset.index:
+        try:
+            known = e in poset.index
+        except TypeError:  # unhashable, so no element
+            known = False
+        if not known:
             raise InvalidIntervalError(f"{e!r} is not an element of the poset")
     if not poset.leq(x, y):
         raise InvalidIntervalError(f"{x!r} is not below {y!r}")

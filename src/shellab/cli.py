@@ -73,12 +73,11 @@ def _resolve_first_atom_set(poset, ref, budget):
     return _resolve_table("first_atom_sets", load_first_atom_set, poset, ref, budget)
 
 
-def _chain_str(chain):
-    return " ".join(chain)
-
-
 class Report:
-    """Accumulates verdicts and witnesses with a stable field order."""
+    """Accumulates verdicts, witnesses and counters with a stable field
+    order.  A witness is kept as the subcommand built it, tuples and sets
+    included, and takes its JSON shape only when it is written out.  `lines`
+    is an iterable of text lines that only plain output reads."""
 
     def __init__(self, command, inputs):
         self.command = command
@@ -86,21 +85,11 @@ class Report:
         self.verdicts = {}
         self.witnesses = {}
         self.timings = {}
-        self.lines = []
+        self.lines = ()
         self.output = None
 
     def verdict(self, name, ok):
         self.verdicts[name] = bool(ok)
-
-    def witness(self, name, payload):
-        # tuples and sets become lists; every witness key is a string
-        self.witnesses[name] = json.loads(json.dumps(payload, default=list))
-
-    def timing(self, name, count):
-        self.timings[name] = count
-
-    def line(self, text):
-        self.lines.append(text)
 
     def product(self, value, text=None):
         """What the subcommand made, printed after the lines as `text`
@@ -127,7 +116,8 @@ class Report:
             }
             if self.output is not None:
                 payload["output"] = self.output[0]
-            print(json.dumps(payload, indent=2, sort_keys=False))
+            # tuples and sets become lists; every witness key is a string
+            print(json.dumps(payload, indent=2, default=list))
         else:
             for text in self.lines:
                 print(text)
@@ -136,7 +126,9 @@ class Report:
             for name, ok in self.verdicts.items():
                 print(f"{name}: {'ok' if ok else 'FAIL'}")
                 if not ok and name in self.witnesses:
-                    print(f"  witness: {self.witnesses[name]}")
+                    # in the shape a JSON report gives it: lists, string keys
+                    shape = json.loads(json.dumps(self.witnesses[name], default=list))
+                    print(f"  witness: {shape}")
         return 0 if self.ok else 1
 
 
@@ -157,11 +149,10 @@ def _cmd_chains(args, report):
         chains = interval_chains(poset, x, y)
     else:
         chains = maximal_chains(poset)
-    for c in chains:
-        report.line(_chain_str(c))
+    report.lines = map(" ".join, chains)
     report.verdict("enumerated", True)
-    report.witness("chains", [list(c) for c in chains])
-    report.timing("chain_count", len(chains))
+    report.witnesses["chains"] = chains
+    report.timings["chain_count"] = len(chains)
 
 
 def _cmd_check(args, report):
@@ -171,9 +162,9 @@ def _cmd_check(args, report):
     ok = rep.flag(args.kind)
     report.verdict(args.kind, ok)
     if not ok:
-        report.witness(args.kind, rep.witnesses.get(args.kind, {}))
-    report.timing("rooted_covers", rooted_cover_count(poset))
-    report.timing("rooted_intervals", rep.rooted_intervals)
+        report.witnesses[args.kind] = rep.witnesses.get(args.kind, {})
+    report.timings["rooted_covers"] = rooted_cover_count(poset)
+    report.timings["rooted_intervals"] = rep.rooted_intervals
 
 
 def _cmd_relabel(args, report):
@@ -187,7 +178,7 @@ def _cmd_relabel(args, report):
         order = tuple(map(tuple, _read_tokens(args.order_file)))
     report.product(labeling_to_json(relabel_from_order(poset, order, args.max_rooted_covers)))
     report.verdict("relabeled", True)
-    report.timing("maximal_chains", len(order))
+    report.timings["maximal_chains"] = len(order)
 
 
 def _cmd_rfas_check(args, report):
@@ -199,13 +190,13 @@ def _cmd_rfas_check(args, report):
                      budget=args.max_rooted_covers)
     report.verdict("rfas", rep.ok)
     if not rep.ok:
-        report.witness("rfas", [
+        report.witnesses["rfas"] = [
             {"condition": v.condition, "direction": v.direction,
-             "root": list(v.root), "x": v.x, "y": v.y, "atom": v.atom,
+             "root": v.root, "x": v.x, "y": v.y, "atom": v.atom,
              **({"detail": v.detail} if v.detail else {})}
             for v in rep.violations
-        ])
-    report.timing("rooted_covers", rooted_cover_count(poset))
+        ]
+    report.timings["rooted_covers"] = rooted_cover_count(poset)
 
 
 def _cmd_rfas_shell(args, report):
@@ -216,11 +207,10 @@ def _cmd_rfas_shell(args, report):
     omega = _resolve_first_atom_set(poset, args.rfas, args.max_rooted_covers)
     order = shelling_from_rfas(poset, omega, args.max_rooted_covers)
     ok = is_shelling(order_complex(poset), order).ok
-    for c in order:
-        report.line(_chain_str(c))
+    report.lines = map(" ".join, order)
     report.verdict("shelling", ok)
-    report.witness("order", [list(c) for c in order])
-    report.timing("facets", len(order))
+    report.witnesses["order"] = order
+    report.timings["facets"] = len(order)
 
 
 def _cmd_rfas_from_tcl(args, report):
@@ -230,7 +220,7 @@ def _cmd_rfas_from_tcl(args, report):
     lab = _resolve_labeling(poset, args.labeling, args.max_rooted_covers)
     report.product(first_atom_set_to_json(rfas_from_tcl(poset, lab, args.max_rooted_covers)))
     report.verdict("rfas-from-tcl", True)
-    report.timing("rooted_covers", rooted_cover_count(poset))
+    report.timings["rooted_covers"] = rooted_cover_count(poset)
 
 
 def _cmd_lc_check(args, report):
@@ -240,14 +230,13 @@ def _cmd_lc_check(args, report):
     omega = _resolve_first_atom_set(poset, args.rfas, args.max_rooted_covers)
     gamma = check_lc(poset, omega, args.lc_budget, args.max_rooted_covers)
     if gamma is None:
-        report.line("none")
+        report.lines = ("none",)
         report.verdict("lc-extension", False)
     else:
-        for c in gamma:
-            report.line(_chain_str(c))
+        report.lines = map(" ".join, gamma)
         report.verdict("lc-extension", True)
-        report.witness("order", [list(c) for c in gamma])
-    report.timing("maximal_chains", poset.path_count(poset.top))
+        report.witnesses["order"] = gamma
+    report.timings["maximal_chains"] = poset.path_count(poset.top)
 
 
 def _cmd_rao(args, report):
@@ -263,14 +252,14 @@ def _cmd_rao(args, report):
     report.verdict(kind, tree is not None)
     if tree is None:
         u, constraint = search.refuted()
-        report.witness(kind, [list(t) for t in rao_pair_obstructions(poset)] or {
+        report.witnesses[kind] = rao_pair_obstructions(poset) or {
             "no_atom_order": [u, poset.top],
             "constraint": sorted(constraint, key=poset.index.__getitem__),
-        })
+        }
     elif args.certificate:
         with open(args.certificate, "w") as fh:
             json.dump(tree.to_json(), fh, indent=2)
-    report.timing("atoms", len(poset.atoms()))
+    report.timings["atoms"] = len(poset.atoms())
 
 
 def _read_facet_order(path, complex_):
@@ -308,8 +297,8 @@ def _cmd_shelling_verify(args, report):
     result = is_shelling(complex_, order)
     report.verdict("shelling", result.ok)
     if not result.ok:
-        report.witness("shelling", {"violation_at": list(result.first_violation)})
-    report.timing("facets", len(complex_._masks))
+        report.witnesses["shelling"] = {"violation_at": result.first_violation}
+    report.timings["facets"] = len(complex_._masks)
 
 
 def _cmd_corpus(args, report):

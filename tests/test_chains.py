@@ -91,6 +91,24 @@ def test_roots_of_a_non_element(fig1):
         roots(fig1.poset, "zz")
 
 
+def test_an_unhashable_endpoint_is_not_an_element(fig1):
+    # every entry point that checks its interval first, not a TypeError
+    p, lab = fig1.poset, fig1.labelings["left"]
+    omega = shellab.FirstAtomSet.from_entries(p)
+    calls = [
+        lambda e: interval_chains(p, e, "1hat"),
+        lambda e: interval_chains(p, "0hat", e),
+        lambda e: roots(p, e),
+        lambda e: order_complex(p, interval=(e, "1hat")),
+        lambda e: shellab.descending_chains(p, lab, e, "1hat"),
+        lambda e: shellab.first_atom_chain(omega, ("0hat",), e, "1hat"),
+        lambda e: shellab.restrict_first_atom_set(p, omega, ("0hat",), e, "1hat"),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidIntervalError, match=r"\['x'\] is not an element"):
+            call(["x"])
+
+
 def test_nongraded_interval_mixed_lengths(fig3):
     q = fig3.poset
     lengths = sorted(len(c) - 1 for c in interval_chains(q, "c", "1hat"))

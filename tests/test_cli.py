@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -16,6 +17,7 @@ from shellab import cli
 from shellab.cli import build_parser, run
 from shellab import poset_to_json
 from shellab.corpus import load_named
+from shellab.poset import load_poset
 from conftest import (
     CYCLIC_ORDER_POSET,
     CYCLIC_ORDER_RFAS,
@@ -64,6 +66,69 @@ def test_chains_rooted(capsys):
     assert run(["chains", "corpus:fig1", "--rooted", "0hat", "c"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("0hat")]
     assert len(lines) == 2
+
+
+def test_plain_chains_holds_no_copy_of_the_chains(tmp_path):
+    # B_7, 5,040 chains: the report kept a text line, a list copy and a
+    # JSON-decoded copy of each chain, and its traced peak was 5.9 times
+    # that of enumerating the chains (Python 3.11.7); it keeps the tuples
+    poset, _ = shuffled_boolean_lattice(7, 0)
+    path = str(tmp_path / "poset.json")
+    with open(path, "w") as fh:
+        json.dump(poset_to_json(poset), fh)
+    peaks = []
+    with open(os.devnull, "w") as null, redirect_stdout(null):
+        for call in (lambda: shellab.maximal_chains(load_poset(path)),
+                     lambda: run(["chains", path])):
+            gc.collect()  # which also empties the free lists, so every new tuple is traced
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["check", "--kind", "cl", "corpus:fig3-Q", "corpus:fig3-Q/left"],
+     "{'root': ['0hat'], 'x': '0hat', 'y': 'e', 'increasing_chains': []}"),
+    (["rao", "corpus:fig5-Q"],
+     "[['ap', 'app', 'y'], ['a', 'app', 'y'], ['app', 'ap', 'y'], ['app', 'a', 'y']]"),
+    (["shelling-verify", "poset.json", "--order-file", "bad.order"], "{'violation_at': [1, 0]}"),
+    (["rfas-check", "corpus:fig5-P", "corpus:fig5-P/C"], None),
+], ids=["check", "rao", "shelling-verify", "rfas-check"])
+def test_a_failed_witness_prints_in_its_json_shape(tmp_path, monkeypatch, capsys, argv, witness):
+    # the engines hand over tuples; plain output prints the JSON-decoded
+    # witness, so its repr has lists where the engine had tuples
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poset.json").write_text(json.dumps({
+        "elements": ["0", "a", "b", "c", "d", "1"],
+        "covers": [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"], ["b", "d"],
+                   ["c", "1"], ["d", "1"]]}))
+    (tmp_path / "bad.order").write_text("0 a c 1\n0 b d 1\n0 a d 1\n")
+    assert run(argv) == 1
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert run(argv + ["--json"]) == 1
+    (decoded,) = json.loads(capsys.readouterr().out)["witnesses"].values()
+    assert line == f"  witness: {decoded}"
+    if witness is not None:
+        assert line == f"  witness: {witness}"
+
+
+def test_json_chain_witnesses_are_the_engine_chains(tmp_path, capsys):
+    p = load_named("fig2-P").poset
+    omega_path = str(tmp_path / "omega.json")
+    assert run(["rfas-from-tcl", "corpus:fig2-P", "corpus:fig2-P/bold", "--out", omega_path]) == 0
+    omega, P = shellab.rfas.load_first_atom_set(p, omega_path), "corpus:fig2-P"
+    for argv, key, chains in [
+        (["chains", P], "chains", shellab.maximal_chains(p)),
+        (["rfas-shell", P, omega_path], "order", shellab.shelling_from_rfas(p, omega)),
+        (["lc-check", P, omega_path], "order", shellab.check_lc(p, omega)),
+    ]:
+        capsys.readouterr()
+        assert run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witnesses"] == {key: [list(c) for c in chains]}
 
 
 def test_json_report_is_byte_stable(capsys):
