@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import BudgetExceededError, InvalidIntervalError, InvalidRootError
-from .poset import Poset
+from .poset import Poset, members
 
 DEFAULT_ROOTED_COVER_BUDGET = 10_000
 # the node budgets of the RAO search and of check_lc, kept here so that the
@@ -37,8 +37,8 @@ class RootTrie:
     the root of v.
     """
 
-    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_up", "_pos", "_upset", "_forks",
-                 "_chains", "_index")
+    __slots__ = ("elem", "parent", "depth", "end", "nodes_of", "_up", "_pos", "_elements",
+                 "_upmask", "_forks", "_chains", "_index")
 
     def __init__(self, poset: Poset):
         # preorder DFS: children are pushed reversed so they pop in order
@@ -65,8 +65,9 @@ class RootTrie:
         self.depth = depth
         self.end = [v + s for v, s in enumerate(size)]
         self.nodes_of = nodes_of
-        self._up, self._pos = poset.up, poset.index  # not the poset, which holds the trie
-        self._upset = poset._upset
+        # not the poset, which holds the trie
+        self._up, self._pos, self._elements = poset.up, poset.index, poset.elements
+        self._upmask = poset._upmask
         self._forks = None
         self._chains = None
         self._index = None
@@ -81,16 +82,16 @@ class RootTrie:
         atoms.  Every other interval [e, y] has one atom, whatever the root
         of e.  Built on first use, since only first-atom tables read it."""
         if self._forks is None:
-            upset = self._upset
+            upmask = self._upmask
             self._forks = dict.fromkeys(self._up, {})  # one shared empty dict: a chain has no forks
             for e, ws in self._up.items():
                 if len(ws) < 2:
                     continue
-                seen, twice = set(), set()
+                seen = twice = 0
                 for w in ws:
-                    twice |= seen & upset[w]
-                    seen |= upset[w]
-                self._forks[e] = dict.fromkeys(sorted(twice, key=self._pos.__getitem__))
+                    twice |= seen & upmask[w]
+                    seen |= upmask[w]
+                self._forks[e] = dict.fromkeys(members(self._elements, twice))
         return self._forks
 
     def children(self, v):
@@ -127,9 +128,10 @@ class RootTrie:
     def below(self, g, y) -> list:
         """The children of g whose elements are at most y: the atoms of the
         interval [elem[g], y]."""
-        end, elem, upset, c, out = self.end, self.elem, self._upset, g + 1, []
+        end, elem, upmask, c, out = self.end, self.elem, self._upmask, g + 1, []
+        i = self._pos[y]
         while c < end[g]:
-            if y in upset[elem[c]]:
+            if upmask[elem[c]] >> i & 1:
                 out.append(c)
             c = end[c]
         return out
@@ -137,8 +139,8 @@ class RootTrie:
     def first_below(self, g, y):
         """The first child of g whose element is at most y, which must exist:
         the canonically least atom of [elem[g], y]."""
-        elem, end, upset, c = self.elem, self.end, self._upset, g + 1
-        while y not in upset[elem[c]]:
+        elem, end, upmask, c, i = self.elem, self.end, self._upmask, g + 1, self._pos[y]
+        while not upmask[elem[c]] >> i & 1:
             c = end[c]
         return c
 
@@ -180,9 +182,10 @@ def walk_chains(poset: Poset, x, y):
     """Iterate the maximal chains of [x, y], x <= y, in lexicographic index
     order: a preorder walk along the covers below y, whose stack holds the
     covers still to take and which builds a tuple only for a whole chain."""
-    upset, done = poset._upset, object()  # done: the walk leaves the path's last element
-    ups = {e: [done, *(w for w in reversed(poset.up[e]) if y in upset[w])]
-           for e in upset[x] if y in upset[e]}
+    upmask, i = poset._upmask, poset.index[y]
+    done = object()  # the walk leaves the path's last element
+    ups = {e: [done, *(w for w in reversed(poset.up[e]) if upmask[w] >> i & 1)]
+           for e in poset.interval(x, y)}
     path, stack = [], [x]
     while stack:
         e = stack.pop()
@@ -263,11 +266,7 @@ def rooted_cover_count(poset: Poset) -> int:
 
 def rooted_interval_count(poset: Poset) -> int:
     """Number of rooted intervals (r, x, y) with x < y."""
-    total = 0
-    for x in poset.elements:
-        strict_above = len(poset.upset(x)) - 1
-        total += poset.path_count(x) * strict_above
-    return total
+    return sum(poset.path_count(x) * (m.bit_count() - 1) for x, m in poset._upmask.items())
 
 
 def ensure_budget(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET):
@@ -284,17 +283,11 @@ def ensure_budget(poset: Poset, budget: int | None = DEFAULT_ROOTED_COVER_BUDGET
         )
 
 
-def strictly_above(poset: Poset, x) -> list:
-    """Elements y > x in canonical order."""
-    key = poset.index.__getitem__
-    return sorted((y for y in poset.upset(x) if y != x), key=key)
-
-
 def rooted_interval_nodes(poset: Poset, trie: RootTrie):
     """Iterate (g, x, y) per rooted interval with x < y, in canonical order:
     node g of the trie is the root of x."""
     for x in poset.elements:
-        above = strictly_above(poset, x)
+        above = members(poset.elements, poset._upmask[x] ^ 1 << poset.index[x])  # y > x
         for g in trie.nodes_of[x]:
             for y in above:
                 yield g, x, y

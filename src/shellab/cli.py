@@ -173,6 +173,7 @@ def _cmd_relabel(args, report):
     poset = _resolve_poset(args.poset)
     if args.order_from_labeling:
         lab = _resolve_labeling(poset, args.order_from_labeling, args.max_rooted_covers)
+        ensure_budget(poset, args.max_rooted_covers)
         order = lex_order_max_chains(lab, poset, tie_break=True)
     else:
         order = tuple(map(tuple, _read_tokens(args.order_file)))
@@ -293,6 +294,7 @@ def _cmd_shelling_verify(args, report):
         if poset is None:
             raise ShellabError("--from-labeling needs a poset input")
         lab = _resolve_labeling(poset, args.from_labeling, args.max_rooted_covers)
+        ensure_budget(poset, args.max_rooted_covers)
         order = lex_order_max_chains(lab, poset, tie_break=True)
     result = is_shelling(complex_, order)
     report.verdict("shelling", result.ok)
@@ -386,20 +388,16 @@ _COMMON = [
 ]
 
 
-def build_parser(command=None):
-    """The parser of every subcommand, or of `command` alone.  Both print
-    the same help and usage errors for `command`: alone, the usage line
-    still lists every subcommand."""
+def build_parser():
+    """The parser of every subcommand."""
     import argparse
 
     top = argparse.ArgumentParser(
         prog="shellab",
         description="Lexicographic shellability toolkit for finite bounded posets.",
     )
-    sub = top.add_subparsers(dest="subcommand", required=True,
-                             metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
-    for name in [command] if command else _COMMANDS:
-        help_, _, arguments = _COMMANDS[name]
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    for name, (help_, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for argument in arguments + _COMMON:
             if isinstance(argument, list):
@@ -470,15 +468,10 @@ def _read_argv(argv):
 
 def run(argv) -> int:
     """Read argv (without the program name) and execute; returns exit code.
-    An argv that `_read_argv` leaves to argparse is parsed by the named
-    subcommand's parser alone, or else by the full parser, which prints the
-    help, the usage or the error."""
+    An argv that `_read_argv` leaves to argparse is parsed by the full
+    parser, which prints the help, the usage or the error."""
     args = _read_argv(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
-    else:
-        args = SimpleNamespace(**args)
+    args = build_parser().parse_args(argv) if args is None else SimpleNamespace(**args)
     inputs = {
         k: v for k, v in sorted(vars(args).items())
         if k not in {"subcommand", "json"} and v is not None

@@ -345,7 +345,7 @@ class _Intervals:
         self.asc = [{} for _ in self.ranked]
         # a linear extension, since an up-set shrinks along every cover;
         # ties stay in canonical order
-        self.order = sorted(poset.elements, key=lambda e: -len(poset.upset(e)))
+        self.order = sorted(poset.elements, key=lambda e: -poset._upmask[e].bit_count())
 
     def failures(self, checks, report) -> dict:
         """Check -> witness of each failed check among checks ("tcl", "cc",
@@ -353,7 +353,7 @@ class _Intervals:
         every rooted interval in canonical order finds them.  The tcl, cc
         and cl witnesses and the rooted-interval count go into report too;
         "sc" is checked only when "tcl" passes."""
-        poset, elem, upset = self.poset, self.elem, self.poset._upset
+        poset, elem, upmask = self.poset, self.elem, self.poset._upmask
         first, cand, late = self.passes(checks)
         failure = self.cc_failure() if "cc" in checks else None
         if failure is not None:
@@ -369,13 +369,13 @@ class _Intervals:
         # intervals up to the last first failure, or all of them
         needed = [c for c in ("tcl", "cc", "cl") if c in checks]
         if any(c not in first for c in needed):
-            report.rooted_intervals = sum(len(self.nodes_of[e]) * (len(upset[e]) - 1)
-                                          for e in poset.elements)
+            report.rooted_intervals = sum(len(self.nodes_of[e]) * (m.bit_count() - 1)
+                                          for e, m in upmask.items())
         else:
             def place(r, yi):  # of [v, y] among the rooted intervals
                 x = elem[self.ranked[r]]
-                return sum(len(upset[elem[v]]) - 1 for v in self.ranked[:r]) + sum(
-                    1 for e in upset[x] if e != x and poset.index[e] <= yi)
+                return sum(upmask[elem[v]].bit_count() - 1 for v in self.ranked[:r]) + (
+                    (upmask[x] ^ 1 << poset.index[x]) & (2 << yi) - 1).bit_count()
             report.rooted_intervals = max((place(*first[c]) for c in needed), default=0)
         witness = self.inconsistency(cand, late) if "sc" in checks and "tcl" not in first else None
         if witness is not None:
@@ -552,10 +552,10 @@ class _Intervals:
         it not walked yet are walked; a state is walked once, and only while
         it can reach a y of lower index than the least failing y found."""
         poset, elem, up, tied = self.poset, self.elem, self.up, self.tied
-        index, upset = poset.index, poset._upset
+        index, upmask = poset.index, poset._upmask
         if not tied:
             return None
-        least = {e: min(map(index.__getitem__, upset[e])) for e in poset.elements}
+        least = {e: (m & -m).bit_length() - 1 for e, m in upmask.items()}  # least index above e
         seen, done, n = set(), set(), len(index)
         for v in self.ranked:
             best, forks = n, [v]
@@ -584,9 +584,10 @@ class _Intervals:
                         for w, m in state.items():
                             chains[elem[w]] = chains.get(elem[w], 0) + m
                         for y, c in chains.items():
-                            if index[y] < best and (
-                                    c > 1 or any(y in upset[b] for b in chains if b != y)):
-                                best = index[y]
+                            i = index[y]
+                            if i < best and (
+                                    c > 1 or any(upmask[b] >> i & 1 for b in chains if b != y)):
+                                best = i
             if best < n:  # the forks above v were all walked, or could not go lower
                 return self.rank[v], best
         return None
@@ -603,7 +604,7 @@ class _Intervals:
         for v in sorted(late, key=self.rank.__getitem__):
             hits = []
             for (a, b), ys2 in late[v].items():  # ys: where b is an atom too
-                ys = cand[v].get(a, 0) & sum(1 << index[z] for z in self.poset._upset[elem[b]])
+                ys = cand[v].get(a, 0) & self.poset._upmask[elem[b]]
                 if ys:
                     hits.append((ys & -ys, index[elem[a]], index[elem[b]], ys2 & -ys2))
             if hits:
@@ -628,10 +629,10 @@ class _Intervals:
         below elem[v] at each step."""
         if self.trie is not None:
             return self.trie.chain(v)
-        x, up, upset = self.elem[v], self.poset.up, self.poset._upset
-        root = [self.poset.bottom]
+        x, up, upmask = self.elem[v], self.poset.up, self.poset._upmask
+        i, root = self.poset.index[x], [self.poset.bottom]
         while root[-1] != x:
-            root.append(next(w for w in up[root[-1]] if x in upset[w]))
+            root.append(next(w for w in up[root[-1]] if upmask[w] >> i & 1))
         return tuple(root)
 
     def chains(self, kind, v, y) -> tuple:
@@ -639,7 +640,7 @@ class _Intervals:
         lexicographic order: for "cl" and "tcl" those whose every cover pair
         rises under the kind's rule, for "descending" those with no ascent;
         for "cc" all of them with their label sequences, by sequence."""
-        elem, up, upset = self.elem, self.up, self.poset._upset
+        elem, up, upmask, i = self.elem, self.up, self.poset._upmask, self.poset.index[y]
         found, stack = [], [((v,), ())]
         while stack:  # preorder, so the chains come in lexicographic order
             nodes, seq = stack.pop()
@@ -651,7 +652,8 @@ class _Intervals:
                 found.append((seq, tuple(map(elem.__getitem__, nodes))))
                 continue
             stack.extend((nodes + (w,), seq + (lbl,))
-                         for w, lbl in sorted(up[nodes[-1]], reverse=True) if y in upset[elem[w]])
+                         for w, lbl in sorted(up[nodes[-1]], reverse=True)
+                         if upmask[elem[w]] >> i & 1)
         return tuple(sorted(found)) if kind == "cc" else tuple(c for _, c in found)
 
 

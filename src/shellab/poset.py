@@ -24,14 +24,16 @@ class Poset:
     Construction validates the data (see :func:`build_poset`, the public
     factory) and derives the rest in one topological pass: the up-set of
     each element, the chain count of each [bottom, x] and the chain lengths.
-    The order is kept as up-sets only: "a <= y" is `y in upset(a)`.
+    The order is kept as up-sets only, each one int whose bit i stands for
+    elements[i]: "a <= y" is bit index[y] of `_upmask[a]`, and a mask's bits
+    in increasing order are its elements in canonical order.
     The only field set afterwards is `_root_trie`, the RootTrie that
     `chains.root_trie` builds once its budget check passes.
     """
 
     __slots__ = (
         "elements", "covers", "index", "up", "down", "bottom", "top",
-        "_upset", "_path_counts", "_length", "_graded", "_root_trie",
+        "_upmask", "_path_counts", "_length", "_graded", "_root_trie",
     )
 
     def __init__(self, elements, covers):
@@ -67,12 +69,15 @@ class Poset:
                     ready.append(w)
         if len(order) != len(elements):
             raise CycleDetectedError("cover relation contains a directed cycle")
-        upset = {}
+        upmask = {}
         for e in reversed(order):
-            upset[e] = frozenset().union((e,), *map(upset.__getitem__, up[e]))
+            m = 1 << index[e]
+            for w in up[e]:
+                m |= upmask[w]
+            upmask[e] = m
         for a, b in covers:
             for v in up[a]:
-                if v != b and b in upset[v]:
+                if v != b and upmask[v] >> index[b] & 1:
                     raise RedundantCoverError(
                         f"cover ({a!r}, {b!r}) is implied via {v!r}"
                     )
@@ -91,7 +96,7 @@ class Poset:
         self.down = {e: tuple(sorted(vs, key=key)) for e, vs in down.items()}
         self.bottom, = minima
         self.top, = maxima
-        self._upset = upset
+        self._upmask = upmask
         counts, lmin, lmax = {}, {}, {}  # per [bottom, e]: chains, shortest, longest
         for e in order:
             below = down[e]
@@ -106,26 +111,26 @@ class Poset:
     # -- order queries -------------------------------------------------
 
     def leq(self, a, b):
-        """True iff a <= b in the derived order."""
-        return b in self._upset[a]
+        """True iff a <= b in the derived order; False if b is no element."""
+        i = self.index.get(b)
+        return i is not None and self._upmask[a] >> i & 1 == 1
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
     def upset(self, a):
-        """All b with a <= b, as a frozenset."""
-        return self._upset[a]
+        """All b with a <= b, as a frozenset built on demand."""
+        return frozenset(members(self.elements, self._upmask[a]))
 
     def downset(self, a):
         """All b with b <= a, as a frozenset built on demand."""
-        upset = self._upset
-        return frozenset(b for b in self.elements if a in upset[b])
+        i, upmask = self.index[a], self._upmask
+        return frozenset(b for b in self.elements if upmask[b] >> i & 1)
 
     def interval(self, x, y):
         """Elements of [x, y], sorted canonically."""
-        upset = self._upset
-        members = [e for e in upset[x] if y in upset[e]]
-        return tuple(sorted(members, key=self.index.__getitem__))
+        i, upmask = self.index[y], self._upmask
+        return tuple(e for e in members(self.elements, upmask[x]) if upmask[e] >> i & 1)
 
     def atoms(self):
         return self.up[self.bottom]
@@ -135,8 +140,8 @@ class Poset:
 
     def atoms_of(self, x, y):
         """Atoms of the interval [x, y]: covers of x that are below y."""
-        upset = self._upset
-        return tuple(v for v in self.up[x] if y in upset[v])
+        i, upmask = self.index[y], self._upmask
+        return tuple(v for v in self.up[x] if upmask[v] >> i & 1)
 
     def path_count(self, x):
         """Number of maximal chains of [bottom, x]."""
@@ -158,6 +163,11 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+
+def members(elements, mask) -> list:
+    """The elements whose indices are the set bits of mask, in canonical order."""
+    return [elements[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def build_poset(elements, covers) -> Poset:

@@ -79,13 +79,14 @@ def _pair_witness(poset: Poset, a, placed):
     strictly above a and above some placed atom, yet no z covering a with
     z <= y lies above a placed atom.
     """
-    p = poset
-    above_placed = set().union(*map(p.upset, placed))
-    zs = [z for z in p.up[a] if any(p.lt(b, z) for b in placed)]
-    for y in sorted((p.upset(a) & above_placed) - {a}, key=p.index.__getitem__):
-        if not any(p.leq(z, y) for z in zs):
-            return y
-    return None
+    p, upmask, above = poset, poset._upmask, 0
+    for b in placed:
+        above |= upmask[b]
+    ys = upmask[a] & above & ~(1 << p.index[a])
+    for z in p.up[a]:  # no atom covers another, so z is no placed atom
+        if above >> p.index[z] & 1:
+            ys &= ~upmask[z]
+    return p.elements[(ys & -ys).bit_length() - 1] if ys else None
 
 
 class _Search:

@@ -413,7 +413,10 @@ def test_unusable_input_file_is_an_error(tmp_path, capsys, argv, content, messag
      '"root" that is not a list'),
     (["rfas-check"], {"first_atoms": [{"x": "c", "y": "a", "atom": "a"}]},
      "'c' is not strictly below 'a'"),
-], ids=["chain-edge-string-root", "first-atom-string-root", "first-atom-not-below"])
+    (["rfas-check"], {"first_atoms": [{"x": "0", "y": "zz", "atom": "a"}]},
+     "error: '0' is not strictly below 'zz'"),
+], ids=["chain-edge-string-root", "first-atom-string-root", "first-atom-not-below",
+        "first-atom-unknown-y"])
 def test_misread_entry_is_an_error(tmp_path, capsys, argv, content, message):
     # string roots were split into characters and read as valid roots, and
     # a root-less entry with x not below y failed on the roots of x
@@ -613,15 +616,12 @@ def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
     # a canonical argv is read off the command table, without a parser
     assert run(argv) == 0
     assert made == []
-    # help and an abbreviated flag are left to the named subcommand's parser
+    # help and an abbreviated flag are left to the full parser
     with pytest.raises(SystemExit) as exc:
         run(["check", "--help"])
-    assert exc.value.code == 0 and made == ["check"]
+    assert exc.value.code == 0 and made == list(cli._COMMANDS)
     made.clear()
     assert run(["check", "--ki", *argv[2:]]) == 0
-    assert made == ["check"]
-    made.clear()
-    build_parser()
     assert len(made) == 11 and made == list(cli._COMMANDS)
 
 
@@ -706,41 +706,6 @@ def test_benchmark_and_readme_argvs_are_read_without_argparse():
         assert read == vars(_FULL_PARSER.parse_args(argv))
 
 
-def _subparser(parser, name):
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
-
-
-# a complete argv for each subcommand; the files are never opened
-_VALID = {
-    "chains": ["p.json"], "check": ["--kind", "cc", "p.json", "l.json"],
-    "relabel": ["p.json", "--order-file", "o.txt"], "rfas-check": ["p.json", "r.json"],
-    "rfas-shell": ["p.json", "r.json"], "rfas-from-tcl": ["p.json", "l.json"],
-    "lc-check": ["p.json", "r.json"], "rao": ["p.json"],
-    "shelling-verify": ["c.json", "--order-file", "o.txt"], "corpus": [],
-    "export-dot": ["p.json"],
-}
-
-
-@pytest.mark.parametrize("name", list(_VALID))
-def test_subparser_alone_prints_what_the_full_parser_prints(monkeypatch, capsys, name):
-    assert set(_VALID) == set(cli._COMMANDS)
-    monkeypatch.setenv("COLUMNS", "80")
-    alone, full = build_parser(name), build_parser()
-    assert _subparser(alone, name).format_help() == _subparser(full, name).format_help()
-    # a missing argument, a complete argv, and an unknown flag, which the
-    # top-level parser reports with its own usage line
-    for argv in ([name], [name, *_VALID[name]], [name, *_VALID[name], "--no-such-flag"]):
-        outcomes = []
-        for parser in (alone, full):
-            try:
-                result = parser.parse_args(argv)
-            except SystemExit as exc:
-                result = exc.code
-            outcomes.append((result, capsys.readouterr()))
-        assert outcomes[0] == outcomes[1]
-
-
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         run(["check", "corpus:fig1"])  # missing --kind and labeling
@@ -782,19 +747,44 @@ def test_rao_certificate_of_a_long_chain_ends_without_traceback(tmp_path):
     assert verify_rao(poset, tree)
 
 
-def test_rao_certificate_is_bounded_by_the_rooted_cover_budget(tmp_path, capsys):
-    # the file has one entry per root reached, doubling with every diamond
+def _twelve_diamonds():
+    """A tower of 12 diamonds: 4,096 maximal chains and 20,474 rooted
+    covers, above the default budget of 10,000."""
     diamond = shellab.build_poset(["0", "a", "b", "1"],
                                   [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     tower = diamond
     for _ in range(11):
         tower = shellab.ordinal_sum(tower, diamond)
-    (tmp_path / "tower.json").write_text(json.dumps(poset_to_json(tower)))
+    return tower
+
+
+def test_rao_certificate_is_bounded_by_the_rooted_cover_budget(tmp_path, capsys):
+    # the file has one entry per root reached, doubling with every diamond
+    (tmp_path / "tower.json").write_text(json.dumps(poset_to_json(_twelve_diamonds())))
     cert = tmp_path / "cert.json"
     assert run(["rao", str(tmp_path / "tower.json"), "--certificate", str(cert)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: poset has ") and "budget is 10000" in err
     assert not cert.exists()
+
+
+def test_label_orders_are_bounded_by_the_rooted_cover_budget(tmp_path, capsys, monkeypatch):
+    # the budget is checked before the lex order of the tower's maximal
+    # chains, and so before its RootTrie, is built
+    tower = _twelve_diamonds()
+    poset = tmp_path / "tower.json"
+    poset.write_text(json.dumps(poset_to_json(tower)))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": [
+        {"from": a, "to": b, "label": i} for i, (a, b) in enumerate(tower.covers)]}))
+    called = []
+    monkeypatch.setattr(cli, "lex_order_max_chains", lambda *a, **k: called.append(a))
+    for argv in (["relabel", str(poset), "--order-from-labeling", str(labels)],
+                 ["shelling-verify", str(poset), "--from-labeling", str(labels)]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: poset has ") and "budget is 10000" in err
+    assert called == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -664,3 +664,7 @@ def test_a_long_chain_has_an_empty_table():
 def test_first_atom_of_a_pair_that_is_no_interval(fig8):
     with pytest.raises(InvalidIntervalError, match="rooted intervals require 'a' < 'b'"):
         fig8.first_atom_set("omega").first_atom(("0hat", "a"), "a", "b")
+    # y is no element: not above x, rather than a lookup error
+    omega = FirstAtomSet.from_entries(string_root_case()[0])
+    with pytest.raises(InvalidIntervalError, match="rooted intervals require '0' < 'zz'"):
+        omega.first_atom(("0",), "0", "zz")
